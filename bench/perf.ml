@@ -2,14 +2,14 @@
    item 1): measure how fast *we* execute simulated runs, not how fast
    the simulated programs are. A workload matrix over representative
    `lib/workloads` profiles is run with warmup and repeats, wall-clock
-   timed, and the results are written as BENCH_<PR>.json at the repo
-   root. Optionally every workload's per-repeat wall time per run is
+   timed, and the results are written as JSON (a perf PR commits its
+   run as BENCH_<PR>.json at the repo root). Optionally every workload's per-repeat wall time per run is
    appended to a `Stz_store.Ledger` history, so `szc regress` — the
    same Cohen's-d confidence-interval gate used for simulated
    campaigns — judges the simulator's own performance trajectory
    across PRs: we eat our own statistical dog food.
 
-     dune exec bench/perf.exe -- --out BENCH_7.json --ledger perf.ledger
+     dune exec bench/perf.exe -- --out BENCH_local.json --ledger perf.ledger
 
    Each repeat re-simulates the *identical* deterministic set of runs
    (fixed base seed), so repeat-to-repeat variance is pure harness and
@@ -52,7 +52,7 @@ type opts = {
 
 let default_opts =
   {
-    out = "BENCH_7.json";
+    out = "BENCH_local.json";
     ledger = None;
     runs = 12;
     repeats = 5;

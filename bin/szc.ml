@@ -748,6 +748,22 @@ let check_trace_cmd =
 (* szc fsck                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every record-container kind fsck knows: kind, what to call it, the
+   item noun (singular, plural), and its check. A container of unknown
+   kind goes to the first entry, whose check reports it
+   unrecoverable. *)
+let fsck_kinds =
+  let open Stz_store in
+  let module Ck = Stabilizer.Supervisor in
+  let module Op = Stz_telemetry.Oplog in
+  [
+    (Ck.Checkpoint.kind, "checkpoint container", ("record", "records"), Ck.check);
+    (Ledger.kind, "ledger", ("entry", "entries"), Ledger.check);
+    (Op.kind, "oplog", ("record", "records"), Op.check);
+    (Fuzzlog.kind, "fuzz ledger", ("case", "cases"), Fuzzlog.check);
+    (Sweeplog.kind, "sweep ledger", ("case", "cases"), Sweeplog.check);
+  ]
+
 let fsck_cmd =
   let fsck_one ~repair path =
     if not (Sys.file_exists path) then (
@@ -755,156 +771,36 @@ let fsck_cmd =
       0)
     else
       let contents =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+        match Stz_store.Artifact.read_file path with
+        | Ok text -> text
+        | Error e -> raise (Sys_error e)
       in
       if Stz_store.Artifact.is_container contents then (
         (* Containers carry their kind in the header; dispatch on it so
            a ledger is checked as a ledger, not misdiagnosed as a broken
-           checkpoint. A header too damaged to parse strictly still
-           yields its kind via salvage. *)
-        let container_kind =
-          match Stz_store.Artifact.read_records path with
-          | Ok (k, _) -> Some k
-          | Error _ ->
-              (Stz_store.Artifact.salvage_string contents).Stz_store.Artifact.kind
+           checkpoint. A damaged file still yields its kind via salvage. *)
+        let kind = Stz_store.Artifact.((salvage_string contents).kind) in
+        let _, what, (one, many), check =
+          Option.value ~default:(List.hd fsck_kinds)
+            (List.find_opt (fun (k, _, _, _) -> Some k = kind) fsck_kinds)
         in
-        if container_kind = Some Stz_store.Ledger.kind then (
-          match Stz_store.Ledger.load path with
-          | Ok entries ->
-              Printf.printf "%s: ok (ledger, %d entr%s)\n" path
-                (List.length entries)
-                (if List.length entries = 1 then "y" else "ies");
-              0
-          | Error _ -> (
-              match Stz_store.Ledger.recover path with
-              | Ok (entries, note) ->
-                  Printf.printf "%s: salvageable — %s\n" path
-                    (Option.value note ~default:"prefix intact");
-                  if repair then (
-                    Stz_store.Ledger.write path entries;
-                    Printf.printf
-                      "%s: repaired (rewritten from the salvaged prefix, %d \
-                       entr%s)\n"
-                      path (List.length entries)
-                      (if List.length entries = 1 then "y" else "ies"));
-                  2
-              | Error e ->
-                  Printf.printf "%s: unrecoverable — %s\n" path e;
-                  if repair then (
-                    let aside = path ^ ".corrupt" in
-                    Sys.rename path aside;
-                    Printf.printf "%s: moved aside to %s\n" path aside);
-                  3))
-        else if container_kind = Some Stz_telemetry.Oplog.kind then (
-          match Stz_telemetry.Oplog.load path with
-          | Ok records ->
-              Printf.printf "%s: ok (oplog, %d record%s)\n" path
-                (List.length records)
-                (if List.length records = 1 then "" else "s");
-              0
-          | Error _ -> (
-              match Stz_telemetry.Oplog.recover path with
-              | Ok (records, note) ->
-                  Printf.printf "%s: salvageable — %s\n" path
-                    (Option.value note ~default:"prefix intact");
-                  if repair then (
-                    Stz_telemetry.Oplog.rewrite path records;
-                    Printf.printf
-                      "%s: repaired (rewritten from the salvaged prefix, %d \
-                       record%s)\n"
-                      path (List.length records)
-                      (if List.length records = 1 then "" else "s"));
-                  2
-              | Error e ->
-                  Printf.printf "%s: unrecoverable — %s\n" path e;
-                  if repair then (
-                    let aside = path ^ ".corrupt" in
-                    Sys.rename path aside;
-                    Printf.printf "%s: moved aside to %s\n" path aside);
-                  3))
-        else if container_kind = Some Stz_store.Fuzzlog.kind then (
-          match Stz_store.Fuzzlog.load path with
-          | Ok (_, cases) ->
-              Printf.printf "%s: ok (fuzz ledger, %d case%s)\n" path
-                (List.length cases)
-                (if List.length cases = 1 then "" else "s");
-              0
-          | Error _ -> (
-              match Stz_store.Fuzzlog.recover path with
-              | Ok (meta, cases, note) ->
-                  Printf.printf "%s: salvageable — %s\n" path
-                    (Option.value note ~default:"prefix intact");
-                  if repair then (
-                    Stz_store.Fuzzlog.rewrite path meta cases;
-                    Printf.printf
-                      "%s: repaired (rewritten from the salvaged prefix, %d \
-                       case%s)\n"
-                      path (List.length cases)
-                      (if List.length cases = 1 then "" else "s"));
-                  2
-              | Error e ->
-                  Printf.printf "%s: unrecoverable — %s\n" path e;
-                  if repair then (
-                    let aside = path ^ ".corrupt" in
-                    Sys.rename path aside;
-                    Printf.printf "%s: moved aside to %s\n" path aside);
-                  3))
-        else if container_kind = Some Stz_store.Sweeplog.kind then (
-          match Stz_store.Sweeplog.load path with
-          | Ok (_, cases) ->
-              Printf.printf "%s: ok (sweep ledger, %d case%s)\n" path
-                (List.length cases)
-                (if List.length cases = 1 then "" else "s");
-              0
-          | Error _ -> (
-              match Stz_store.Sweeplog.recover path with
-              | Ok (meta, cases, note) ->
-                  Printf.printf "%s: salvageable — %s\n" path
-                    (Option.value note ~default:"prefix intact");
-                  if repair then (
-                    Stz_store.Sweeplog.rewrite path meta cases;
-                    Printf.printf
-                      "%s: repaired (rewritten from the salvaged prefix, %d \
-                       case%s)\n"
-                      path (List.length cases)
-                      (if List.length cases = 1 then "" else "s"));
-                  2
-              | Error e ->
-                  Printf.printf "%s: unrecoverable — %s\n" path e;
-                  if repair then (
-                    let aside = path ^ ".corrupt" in
-                    Sys.rename path aside;
-                    Printf.printf "%s: moved aside to %s\n" path aside);
-                  3))
-        else
-        match Stabilizer.Supervisor.load path with
-        | Ok _ ->
-            Printf.printf "%s: ok (checkpoint container)\n" path;
+        let count n = Printf.sprintf "%d %s" n (if n = 1 then one else many) in
+        match check ~repair path with
+        | Stz_store.Log.Intact n ->
+            Printf.printf "%s: ok (%s, %s)\n" path what (count n);
             0
-        | Error _ -> (
-            match Stabilizer.Supervisor.recover path with
-            | Ok (c, note) ->
-                Printf.printf "%s: salvageable — %s\n" path
-                  (Option.value note ~default:"prefix intact");
-                if repair then (
-                  Stabilizer.Supervisor.save path c;
-                  Printf.printf "%s: repaired (rewritten from the salvaged \
-                                 prefix, %d record%s)\n"
-                    path
-                    (List.length c.Stabilizer.Supervisor.records)
-                    (if List.length c.Stabilizer.Supervisor.records = 1 then ""
-                     else "s"));
-                2
-            | Error e ->
-                Printf.printf "%s: unrecoverable — %s\n" path e;
-                if repair then (
-                  let aside = path ^ ".corrupt" in
-                  Sys.rename path aside;
-                  Printf.printf "%s: moved aside to %s\n" path aside);
-                3))
+        | Salvageable (note, n) ->
+            Printf.printf "%s: salvageable — %s\n" path note;
+            if repair then
+              Printf.printf
+                "%s: repaired (rewritten from the salvaged prefix, %s)\n" path
+                (count n);
+            2
+        | Unrecoverable e ->
+            Printf.printf "%s: unrecoverable — %s\n" path e;
+            if repair then
+              Printf.printf "%s: moved aside to %s.corrupt\n" path path;
+            3)
       else
         match Stz_store.Artifact.verify_sum path with
         | Error e ->
@@ -937,7 +833,7 @@ let fsck_cmd =
         (const run
         $ Arg.(value & flag & info [ "repair" ]
               ~doc:
-                "Rewrite a salvageable checkpoint or ledger from its \
+                "Rewrite a salvageable record container from its \
                  longest valid record prefix; move an unrecoverable file \
                  aside to FILE.corrupt.")
         $ Arg.(
@@ -945,20 +841,24 @@ let fsck_cmd =
             & pos_all string []
             & info [] ~docv:"FILE"
                 ~doc:
-                  "Artifacts to check (checkpoints, ledgers, CSVs, \
+                  "Artifacts to check (record containers, CSVs, \
                    traces)." )))
+  in
+  let kinds =
+    String.concat ", " (List.map (fun (_, what, _, _) -> what ^ "s") fsck_kinds)
   in
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Verify artifact integrity: record containers (checkpoints, \
-          history ledgers and daemon oplogs, told apart by their header \
-          kind) are fully parsed (header, per-record CRC-32, record \
-          structure); other artifacts are verified against their .sum \
-          sidecar. Exit 0 all ok, 1 unknown artifact or IO error, 2 \
-          salvageable corruption (or checksum mismatch), 3 \
-          unrecoverable. The overall exit code is the worst per-file \
-          code.")
+         (Printf.sprintf
+            "Verify artifact integrity: record containers (%s, told apart \
+             by their header kind) are fully parsed (header, per-record \
+             CRC-32, record structure); other artifacts are verified \
+             against their .sum sidecar. Exit 0 all ok, 1 unknown artifact \
+             or IO error, 2 salvageable corruption (or checksum mismatch), \
+             3 unrecoverable. The overall exit code is the worst per-file \
+             code."
+            kinds))
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1170,7 +1070,7 @@ let history_cmd =
   let run path show =
     match Stz_store.Ledger.load path with
     | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
-    | Ok entries -> (
+    | Ok ((), entries) -> (
         match show with
         | Some n -> (
             match List.nth_opt entries n with
@@ -1231,7 +1131,7 @@ let regress_cmd =
   let run path label baseline confidence min_effect min_n =
     match Stz_store.Ledger.load path with
     | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
-    | Ok entries -> (
+    | Ok ((), entries) -> (
         let indexed = List.mapi (fun i e -> (i, e)) entries in
         let wanted (e : Stz_store.Ledger.entry) =
           match label with None -> true | Some l -> e.Stz_store.Ledger.label = l
@@ -1949,6 +1849,12 @@ let remote_top_cmd =
 (* szc fuzz                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Shared by szc fuzz and szc layout sweep. *)
+let progress ~quiet = if quiet then ignore else Printf.printf "%s\n%!"
+
+let print_reproducers out =
+  List.iter (fun r -> Printf.printf "reproducer: %s\n" (Filename.concat out r))
+
 let fuzz_cmd =
   let run seed count jobs out resume rand_runs shrink_budget plant watchdog
       quiet =
@@ -1970,9 +1876,7 @@ let fuzz_cmd =
         shrink_budget;
         plant;
         watchdog = (if watchdog <= 0.0 then None else Some watchdog);
-        log =
-          (if quiet then ignore
-           else fun line -> Printf.printf "%s\n%!" line);
+        log = progress ~quiet;
       }
     in
     match Stabilizer.Fuzzer.run_campaign cfg with
@@ -1988,9 +1892,7 @@ let fuzz_cmd =
           s.Stabilizer.Fuzzer.clean s.Stabilizer.Fuzzer.trapped
           s.Stabilizer.Fuzzer.failed s.Stabilizer.Fuzzer.crashed
           s.Stabilizer.Fuzzer.hung;
-        List.iter
-          (fun r -> Printf.printf "reproducer: %s\n" (Filename.concat out r))
-          s.Stabilizer.Fuzzer.reproducers;
+        print_reproducers out s.Stabilizer.Fuzzer.reproducers;
         Ok (if s.Stabilizer.Fuzzer.failed > 0 then 2 else 0)
   in
   let term =
@@ -2184,8 +2086,7 @@ let layout_sweep_cmd =
         threshold;
         shrink_budget;
         watchdog = (if watchdog <= 0.0 then None else Some watchdog);
-        log =
-          (if quiet then ignore else fun line -> Printf.printf "%s\n%!" line);
+        log = progress ~quiet;
       }
     in
     match Stz_attrib.Sweep.run_campaign cfg with
@@ -2204,9 +2105,7 @@ let layout_sweep_cmd =
           (List.length s.Stz_attrib.Sweep.offenders)
           (if List.length s.Stz_attrib.Sweep.offenders = 1 then "" else "s")
           threshold;
-        List.iter
-          (fun r -> Printf.printf "reproducer: %s\n" (Filename.concat out r))
-          s.Stz_attrib.Sweep.reproducers;
+        print_reproducers out s.Stz_attrib.Sweep.reproducers;
         Ok 0
   in
   let term =

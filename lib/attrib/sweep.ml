@@ -260,27 +260,12 @@ let summarize ~threshold cases =
     reproducers = List.rev s.reproducers;
   }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let run_campaign cfg =
   let ( let* ) = Result.bind in
   let* () =
     if cfg.layout_seeds < 2 then Error "sweep: need at least 2 layout seeds"
     else if cfg.variants < 2 then Error "sweep: need at least 2 variants"
     else Ok ()
-  in
-  let* () =
-    match mkdir_p cfg.out_dir with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Error
-          (Printf.sprintf "cannot create %s: %s" cfg.out_dir
-             (Unix.error_message e))
   in
   let meta =
     {
@@ -293,95 +278,39 @@ let run_campaign cfg =
       shrink_budget = cfg.shrink_budget;
     }
   in
-  let path = Filename.concat cfg.out_dir ledger_name in
-  let* lg, existing =
-    if cfg.resume then Sweeplog.resume ~path meta
-    else Result.map (fun t -> (t, [])) (Sweeplog.create ~path meta)
-  in
-  let start = List.length existing in
-  let remaining = max 0 (cfg.count - start) in
-  if cfg.resume && start > 0 then
-    cfg.log
-      (Printf.sprintf "resuming: %d/%d cases already in the ledger" start
-         cfg.count);
   let eval index =
     evaluate ~layout_seeds:cfg.layout_seeds ~variants:cfg.variants
       ~threshold:cfg.threshold ~shrink_budget:cfg.shrink_budget
       ~fuzz_seed:cfg.fuzz_seed ~index ()
   in
-  let new_cases = ref [] in
-  if remaining > 0 then begin
-    (* Completion-order results buffered and flushed in index order —
-       ledger bytes never depend on --jobs, a SIGKILL always leaves a
-       contiguous resumable prefix, and a reproducer file is written
-       before the record that references it. *)
-    let pending = Array.make remaining None in
-    let next = ref 0 in
-    let flush () =
-      while
-        !next < remaining
-        && match pending.(!next) with Some _ -> true | None -> false
-      do
-        (match pending.(!next) with
-        | None -> assert false
-        | Some ((case : Sweeplog.case), repro) ->
-            (match repro with
-            | Some (name, text) ->
-                Stz_store.Artifact.write_with_sum
-                  (Filename.concat cfg.out_dir name)
-                  text
-            | None -> ());
-            Sweeplog.append lg case;
-            new_cases := case :: !new_cases;
-            (match case.Sweeplog.verdict with
-            | Sweeplog.Measured when case.Sweeplog.repro <> "" ->
-                cfg.log
-                  (Printf.sprintf
-                     "OFFENDER case %d: eta2=%.3f %s %d<->%d -> %s [%d \
-                      instrs, %d shrink steps]"
-                     case.Sweeplog.index case.Sweeplog.eta2
-                     case.Sweeplog.structure case.Sweeplog.victim
-                     case.Sweeplog.evictor case.Sweeplog.repro
-                     case.Sweeplog.repro_instrs case.Sweeplog.shrink_steps)
-            | Sweeplog.Crashed | Sweeplog.Hung ->
-                cfg.log
-                  (Printf.sprintf "censored case %d: %s" case.Sweeplog.index
-                     case.Sweeplog.detail)
-            | _ -> ());
-            if
-              (case.Sweeplog.index + 1) mod 20 = 0
-              || case.Sweeplog.index + 1 = cfg.count
-            then
-              cfg.log
-                (Printf.sprintf "swept %d/%d" (case.Sweeplog.index + 1)
-                   cfg.count));
-        incr next
-      done
-    in
-    let on_result i r =
-      let index = start + i in
-      let v =
-        match r with
-        | Parallel.Value v -> v
-        | Parallel.Lost ->
-            let plan = F.plan ~fuzz_seed:cfg.fuzz_seed ~index in
-            ( blank_case index plan.F.case_seed Sweeplog.Crashed
-                "worker died mid-case",
-              None )
-        | Parallel.Hung ->
-            let plan = F.plan ~fuzz_seed:cfg.fuzz_seed ~index in
-            ( blank_case index plan.F.case_seed Sweeplog.Hung
-                "watchdog killed a hung worker",
-              None )
-      in
-      pending.(i) <- Some v;
-      flush ()
-    in
-    ignore
-      (Parallel.map ~on_result ?watchdog:cfg.watchdog ~jobs:cfg.jobs
-         ~f:(fun i -> eval (start + i))
-         remaining);
-    flush ()
-  end;
-  Sweeplog.close lg;
-  Ok (summarize ~threshold:cfg.threshold (existing @ List.rev !new_cases))
+  let censor index ~hung detail =
+    blank_case index
+      (F.plan ~fuzz_seed:cfg.fuzz_seed ~index).F.case_seed
+      (if hung then Sweeplog.Hung else Sweeplog.Crashed)
+      detail
+  in
+  let report (case : Sweeplog.case) =
+    (match case.Sweeplog.verdict with
+    | Sweeplog.Measured when case.Sweeplog.repro <> "" ->
+        cfg.log
+          (Printf.sprintf
+             "OFFENDER case %d: eta2=%.3f %s %d<->%d -> %s [%d instrs, %d \
+              shrink steps]"
+             case.Sweeplog.index case.Sweeplog.eta2 case.Sweeplog.structure
+             case.Sweeplog.victim case.Sweeplog.evictor case.Sweeplog.repro
+             case.Sweeplog.repro_instrs case.Sweeplog.shrink_steps)
+    | _ -> ());
+    if
+      (case.Sweeplog.index + 1) mod 20 = 0
+      || case.Sweeplog.index + 1 = cfg.count
+    then
+      cfg.log
+        (Printf.sprintf "swept %d/%d" (case.Sweeplog.index + 1) cfg.count)
+  in
+  Result.map
+    (summarize ~threshold:cfg.threshold)
+    (Stabilizer.Indexed_job.run
+       (module Sweeplog)
+       ~out_dir:cfg.out_dir ~ledger:ledger_name ~meta ~resume:cfg.resume
+       ~count:cfg.count ~jobs:cfg.jobs ~watchdog:cfg.watchdog ~log:cfg.log
+       ~eval ~censor ~report)

@@ -167,13 +167,6 @@ let log_line st fmt =
 
 let key_of ~tenant ~id = tenant ^ "/" ^ id
 
-let rec mkdir_p path =
-  if path <> "/" && path <> "." && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ---------------------------------------------------------------- *)
 (* Client IO                                                         *)
 (* ---------------------------------------------------------------- *)
@@ -941,7 +934,7 @@ let run cfg =
     }
   in
   match
-    mkdir_p cfg.spool;
+    Stz_store.Artifact.mkdir_p cfg.spool;
     Sys.is_directory cfg.spool
   with
   | false | (exception Sys_error _) | (exception Unix.Unix_error _) ->

@@ -140,13 +140,6 @@ let trace_path d = Filename.concat d "trace.json"
 let result_path d = Filename.concat d "result"
 let pid_path d = Filename.concat d "runner.pid"
 
-let rec mkdir_p path =
-  if path <> "/" && path <> "." && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Manifest and result records                                         *)
 (* ------------------------------------------------------------------ *)
@@ -155,23 +148,26 @@ let manifest_kind = "szc-manifest"
 let result_kind = "szc-result"
 
 let write_manifest ~dir spec =
-  mkdir_p dir;
+  Artifact.mkdir_p dir;
   Artifact.write_records (manifest_path dir) ~kind:manifest_kind
     [ ("spec", Json.to_string (spec_to_json spec)) ]
 
+(* The [tag] record of the single-record container of kind [kind] at
+   [path], which a [what] is. *)
+let read_single path ~kind ~what ~tag =
+  let* k, records = Artifact.read_records path in
+  if k <> kind then Error (Printf.sprintf "not a %s (kind %S)" what k)
+  else
+    Option.to_result
+      ~none:(Printf.sprintf "%s: no %s record" what tag)
+      (List.assoc_opt tag records)
+
 let read_manifest ~dir =
-  let* kind, records = Artifact.read_records (manifest_path dir) in
-  let* () =
-    if kind = manifest_kind then Ok ()
-    else Error (Printf.sprintf "not a manifest (kind %S)" kind)
-  in
   let* payload =
-    match List.assoc_opt "spec" records with
-    | Some p -> Ok p
-    | None -> Error "manifest: no spec record"
+    read_single (manifest_path dir) ~kind:manifest_kind ~what:"manifest"
+      ~tag:"spec"
   in
-  let* j = Json.of_string payload in
-  spec_of_json j
+  Result.bind (Json.of_string payload) spec_of_json
 
 type outcome = Finished of int | Cancelled
 
@@ -187,33 +183,17 @@ let write_result ~dir outcome =
     [ ("result", payload) ]
 
 let read_result ~dir =
-  let* kind, records = Artifact.read_records (result_path dir) in
-  let* () =
-    if kind = result_kind then Ok ()
-    else Error (Printf.sprintf "not a result (kind %S)" kind)
-  in
   let* payload =
-    match List.assoc_opt "result" records with
-    | Some p -> Ok p
-    | None -> Error "result: no result record"
+    read_single (result_path dir) ~kind:result_kind ~what:"result"
+      ~tag:"result"
   in
-  let kv =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line ' ' with
-        | Some i ->
-            Some
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-        | None -> None)
-      (String.split_on_char '\n' payload)
-  in
-  match List.assoc_opt "state" kv with
-  | Some "cancelled" -> Ok Cancelled
-  | Some "finished" -> (
-      match Option.bind (List.assoc_opt "exit_code" kv) int_of_string_opt with
-      | Some code -> Ok (Finished code)
-      | None -> Error "result: malformed exit_code")
+  let kv = Stz_store.Log.Kv.decode payload in
+  match Stz_store.Log.Kv.str kv "state" with
+  | Ok "cancelled" -> Ok Cancelled
+  | Ok "finished" -> (
+      match Stz_store.Log.Kv.num kv "exit_code" int_of_string_opt with
+      | Ok code -> Ok (Finished code)
+      | Error _ -> Error "result: malformed exit_code")
   | _ -> Error "result: malformed state"
 
 let completed_runs ~dir =
@@ -301,44 +281,22 @@ let promote_tmp path notes =
 
 let repair ~dir =
   let notes = ref [] in
-  let ck = checkpoint_path dir in
+  let ck = checkpoint_path dir and lg = ledger_path dir in
   promote_tmp ck notes;
-  promote_tmp (ledger_path dir) notes;
-  (if Sys.file_exists ck then
-     match Stabilizer.Supervisor.load ck with
-     | Ok _ -> ()
-     | Error _ -> (
-         match Stabilizer.Supervisor.recover ck with
-         | Ok (c, note) ->
-             Stabilizer.Supervisor.save ck c;
-             notes :=
-               Printf.sprintf "%s: rewritten from salvaged prefix (%s)" ck
-                 (Option.value note ~default:"prefix intact")
-               :: !notes
-         | Error e ->
-             (* Unrecoverable: drop it so the campaign restarts from
-                run 0 instead of refusing to resume. *)
-             (try Sys.rename ck (ck ^ ".corrupt") with Sys_error _ -> ());
-             notes :=
-               Printf.sprintf "%s: unrecoverable (%s), moved aside" ck e
-               :: !notes));
-  (let lg = ledger_path dir in
-   if Sys.file_exists lg then
-     match Stz_store.Ledger.load lg with
-     | Ok _ -> ()
-     | Error _ -> (
-         match Stz_store.Ledger.recover lg with
-         | Ok (entries, note) ->
-             Stz_store.Ledger.write lg entries;
-             notes :=
-               Printf.sprintf "%s: rewritten from salvaged prefix (%s)" lg
-                 (Option.value note ~default:"prefix intact")
-               :: !notes
-         | Error e ->
-             (try Sys.rename lg (lg ^ ".corrupt") with Sys_error _ -> ());
-             notes :=
-               Printf.sprintf "%s: unrecoverable (%s), moved aside" lg e
-               :: !notes));
+  promote_tmp lg notes;
+  (* An unrecoverable checkpoint is moved aside so the campaign
+     restarts from run 0 instead of refusing to resume. *)
+  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
+  List.iter
+    (fun (path, check) ->
+      if Sys.file_exists path then
+        match check ~repair:true path with
+        | Stz_store.Log.Intact _ -> ()
+        | Salvageable (n, _) ->
+            note "%s: rewritten from salvaged prefix (%s)" path n
+        | Unrecoverable e -> note "%s: unrecoverable (%s), moved aside" path e
+        | exception Sys_error _ -> ())
+    [ (ck, Stabilizer.Supervisor.check); (lg, Stz_store.Ledger.check) ];
   List.iter
     (fun path ->
       promote_tmp path notes;
@@ -349,11 +307,8 @@ let repair ~dir =
         | Error e ->
             (try Sys.remove path with Sys_error _ -> ());
             (try Sys.remove (Artifact.sum_path path) with Sys_error _ -> ());
-            notes :=
-              Printf.sprintf "%s: checksum mismatch (%s), removed — rewritten \
-                              at completion"
-                path e
-              :: !notes)
+            note "%s: checksum mismatch (%s), removed — rewritten at completion"
+              path e)
     [ csv_path dir; trace_path dir ];
   (try Sys.remove (result_path dir ^ ".tmp") with Sys_error _ -> ());
   (try Sys.remove (manifest_path dir ^ ".tmp") with Sys_error _ -> ());

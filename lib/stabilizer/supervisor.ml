@@ -321,15 +321,18 @@ let attempt_seed primary k =
 (* Checkpoint IO: v3 checksummed container                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Version 3 checkpoints are {!Stz_store.Artifact} containers: a meta
-   record first (identity + the reference decision, both fixed at
-   campaign start), one record per finished run in run order, and the
-   evolving supervisor state (quarantine, budgets) last. Every record
-   is length-prefixed and CRC32-checksummed, and the file is written
-   durably (fsync of file and directory before the rename), so a crash
-   or torn write costs at most a suffix — which {!recover} salvages.
+(* Version 3 checkpoints are a {!Stz_store.Log}: a meta record first
+   (identity + the reference decision, both fixed at campaign start),
+   one record per finished run in run order, and the evolving
+   supervisor state (quarantine, budgets) last. The whole file is
+   rewritten atomically after every checkpointed run, so a crash or
+   torn write costs at most a suffix — which {!recover} salvages.
    Versions 1/2 were bare JSON; {!load}/{!recover} still accept them. *)
-let checkpoint_kind = "szc-checkpoint"
+
+type checkpoint_item =
+  | Run of record
+  | State of int64 list * int option * int option
+      (** quarantined seeds, calibrated cycle and fuel budgets *)
 
 let meta_to_json c =
   Json.Obj
@@ -342,30 +345,22 @@ let meta_to_json c =
       ("reference", opt_int c.reference);
     ]
 
-let state_to_json (c : campaign) =
-  Json.Obj
-    [
-      ("quarantined", Json.List (List.map Json.of_int64 c.quarantined));
-      ("budget_cycles", opt_int c.budget_cycles);
-      ("budget_fuel", opt_int c.budget_fuel);
-    ]
-
 let get_opt_int j name =
   match Json.member name j with
   | Some (Json.Int i) -> Ok (Some i)
   | Some Json.Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "checkpoint: bad %S" name)
+  | Some _ -> Error (Printf.sprintf "bad %S" name)
 
 let meta_of_json j =
   let get name conv =
     match Option.bind (Json.member name j) conv with
     | Some v -> Ok v
-    | None -> Error (Printf.sprintf "checkpoint meta: bad or missing %S" name)
+    | None -> Error (Printf.sprintf "meta: bad or missing %S" name)
   in
   let ( let* ) = Result.bind in
   let* version = get "version" Json.to_int in
   if version <> 3 then
-    Error (Printf.sprintf "checkpoint: unsupported container version %d" version)
+    Error (Printf.sprintf "unsupported container version %d" version)
   else
     let* base_seed = get "base_seed" Json.to_int64 in
     let* runs = get "runs" Json.to_int in
@@ -387,24 +382,50 @@ let meta_of_json j =
 
 let state_of_json j =
   let ( let* ) = Result.bind in
-  let* quarantined_js =
-    match Option.bind (Json.member "quarantined" j) Json.to_list with
-    | Some l -> Ok l
-    | None -> Error "checkpoint: bad state record"
-  in
-  let* quarantined =
-    List.fold_left
-      (fun acc x ->
-        Result.bind acc (fun l ->
-            match Json.to_int64 x with
-            | Some s -> Ok (s :: l)
-            | None -> Error "checkpoint: bad quarantined seed"))
-      (Ok []) quarantined_js
-    |> Result.map List.rev
-  in
-  let* budget_cycles = get_opt_int j "budget_cycles" in
-  let* budget_fuel = get_opt_int j "budget_fuel" in
-  Ok (quarantined, budget_cycles, budget_fuel)
+  match Option.bind (Json.member "quarantined" j) Json.to_list with
+  | Some l when List.for_all (fun x -> Json.to_int64 x <> None) l ->
+      let* budget_cycles = get_opt_int j "budget_cycles" in
+      let* budget_fuel = get_opt_int j "budget_fuel" in
+      Ok (State (List.filter_map Json.to_int64 l, budget_cycles, budget_fuel))
+  | _ -> Error "bad state record"
+
+module Checkpoint = Stz_store.Log.Make (struct
+  type meta = campaign
+  type item = checkpoint_item
+
+  let kind = "szc-checkpoint"
+  let name = "checkpoint"
+  let noun = "records"
+  let meta_payload c = Some (Json.to_string (meta_to_json c))
+
+  let meta_of_payload = function
+    | Some m -> Result.bind (Json.of_string m) meta_of_json
+    | None -> Error "missing meta record"
+
+  let item_record = function
+    | Run r -> ("run", Json.to_string (record_to_json r))
+    | State (quarantined, budget_cycles, budget_fuel) ->
+        ( "state",
+          Json.to_string
+            (Json.Obj
+               [
+                 ("quarantined", Json.List (List.map Json.of_int64 quarantined));
+                 ("budget_cycles", opt_int budget_cycles);
+                 ("budget_fuel", opt_int budget_fuel);
+               ]) )
+
+  let item_of_record = function
+    | "run", s ->
+        Some
+          (Result.bind (Json.of_string s) (fun j ->
+               match record_of_json j with
+               | Some r -> Ok (Run r)
+               | None -> Error "bad record"))
+    | "state", s -> Some (Result.bind (Json.of_string s) state_of_json)
+    | _ -> None
+
+  let index = None
+end)
 
 (* Re-derive the quarantine list when the checkpoint's state record was
    lost to corruption. Every failed attempt seed, in run order then
@@ -442,108 +463,60 @@ let derive_quarantine ~base_seed ~runs records =
     records;
   List.rev !out
 
-(* Rebuild a campaign from container records. [lenient] treats a
-   malformed record as the start of the lost suffix (keeps the valid
-   prefix) instead of failing, and tolerates a missing state record by
-   re-deriving quarantine from the run records and leaving the budgets
-   uncalibrated — resume then recalibrates them bit-exactly from the
-   completed prefix. Returns the campaign plus whether state had to be
-   reconstructed. *)
-let campaign_of_records ~lenient pairs =
-  let ( let* ) = Result.bind in
-  match pairs with
-  | ("meta", m) :: rest ->
-      let* mj = Json.of_string m in
-      let* base = meta_of_json mj in
-      let rec go acc state = function
-        | [] -> Ok (List.rev acc, state)
-        | ("run", s) :: rest -> (
-            let parsed =
-              Result.bind (Json.of_string s) (fun j ->
-                  match record_of_json j with
-                  | Some r -> Ok r
-                  | None -> Error "checkpoint: bad record")
-            in
-            match parsed with
-            | Ok r -> go (r :: acc) state rest
-            | Error e -> if lenient then Ok (List.rev acc, state) else Error e)
-        | ("state", s) :: rest -> (
-            match Result.bind (Json.of_string s) state_of_json with
-            | Ok st -> go acc (Some st) rest
-            | Error e -> if lenient then Ok (List.rev acc, state) else Error e)
-        | (tag, _) :: rest ->
-            if lenient then go acc state rest
-            else Error (Printf.sprintf "checkpoint: unknown record tag %S" tag)
+(* Fold checkpoint items into a campaign: runs sorted by index, the
+   last state record winning. A lost state record is re-derived — the
+   quarantine from the run records, the budgets left uncalibrated so
+   resume recalibrates them bit-exactly from the completed prefix —
+   and a note says so. *)
+let assemble (base, items) =
+  let records =
+    List.filter_map (function Run r -> Some r | State _ -> None) items
+    |> List.sort (fun a b -> compare a.run b.run)
+  in
+  let state = function State (q, c, f) -> Some (q, c, f) | Run _ -> None in
+  match List.find_map state (List.rev items) with
+  | Some (quarantined, budget_cycles, budget_fuel) ->
+      ({ base with records; quarantined; budget_cycles; budget_fuel }, None)
+  | None ->
+      let quarantined =
+        derive_quarantine ~base_seed:base.base_seed ~runs:base.runs records
       in
-      let* records, state = go [] None rest in
-      let records = List.sort (fun a b -> compare a.run b.run) records in
-      (match state with
-      | Some (quarantined, budget_cycles, budget_fuel) ->
-          Ok ({ base with records; quarantined; budget_cycles; budget_fuel }, false)
-      | None ->
-          if not lenient then Error "checkpoint: missing state record"
-          else
-            let quarantined =
-              derive_quarantine ~base_seed:base.base_seed ~runs:base.runs records
-            in
-            Ok ({ base with records; quarantined }, true))
-  | _ -> Error "checkpoint: missing meta record"
+      ( { base with records; quarantined },
+        Some "supervisor state re-derived from run records" )
 
 let save path c =
-  Artifact.write_records path ~kind:checkpoint_kind
-    (("meta", Json.to_string (meta_to_json c))
-     :: List.map (fun r -> ("run", Json.to_string (record_to_json r))) c.records
-    @ [ ("state", Json.to_string (state_to_json c)) ])
+  Checkpoint.rewrite path c
+    (List.map (fun r -> Run r) c.records
+    @ [ State (c.quarantined, c.budget_cycles, c.budget_fuel) ])
+
+(* A file that is not a container is a legacy v1/v2 JSON checkpoint:
+   no checksums to salvage with, so it loads all-or-nothing. *)
+let legacy path container_error =
+  match Artifact.read_file path with
+  | Ok text when not (Artifact.is_container text) ->
+      Result.bind (Json.of_string text) of_json
+  | Ok _ -> Error container_error
+  | Error e -> Error e
 
 let load path =
-  match Artifact.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-      if Artifact.is_container text then
-        let s = Artifact.salvage_string text in
-        match s.Artifact.error with
-        | Some e -> Error e
-        | None ->
-            if s.Artifact.kind <> Some checkpoint_kind then
-              Error "checkpoint: unexpected artifact kind"
-            else
-              Result.map fst
-                (campaign_of_records ~lenient:false s.Artifact.records)
-      else Result.bind (Json.of_string text) of_json
+  match Checkpoint.load path with
+  | Ok v -> (
+      match assemble v with
+      | c, None -> Ok c
+      | _, Some _ -> Error "checkpoint: missing state record")
+  | Error e -> legacy path e
 
 let recover path =
-  match Artifact.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-      if not (Artifact.is_container text) then
-        (* Legacy v1/v2 JSON: no checksums to salvage with, so this is
-           all-or-nothing — same as strict load. *)
-        Result.map (fun c -> (c, None)) (Result.bind (Json.of_string text) of_json)
-      else
-        let s = Artifact.salvage_string text in
-        if s.Artifact.kind <> Some checkpoint_kind then
-          Error
-            (match s.Artifact.error with
-            | Some e -> e
-            | None -> "checkpoint: unexpected artifact kind")
-        else
-          Result.map
-            (fun (c, reconstructed) ->
-              let note =
-                if s.Artifact.error = None && not reconstructed then None
-                else
-                  Some
-                    (Printf.sprintf "salvaged %d of %d bytes%s%s"
-                       s.Artifact.valid_bytes s.Artifact.total_bytes
-                       (match s.Artifact.error with
-                       | Some e -> ": " ^ e
-                       | None -> "")
-                       (if reconstructed then
-                          "; supervisor state re-derived from run records"
-                        else ""))
-              in
-              (c, note))
-            (campaign_of_records ~lenient:true s.Artifact.records)
+  match Checkpoint.recover path with
+  | Ok (base, items, note) ->
+      let c, derived = assemble (base, items) in
+      let notes = List.filter_map Fun.id [ note; derived ] in
+      Ok (c, if notes = [] then None else Some (String.concat "; " notes))
+  | Error e -> Result.map (fun c -> (c, None)) (legacy path e)
+
+let check =
+  Stz_store.Log.check ~rewrite:save ~recover:(fun path ->
+      Result.map (fun (c, n) -> (c, List.length c.records, n)) (recover path))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign execution                                                  *)

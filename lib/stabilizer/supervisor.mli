@@ -202,10 +202,23 @@ val to_json : campaign -> Json.t
 
 val of_json : Json.t -> (campaign, string) result
 
-(** Checkpoint IO. [save] writes a version-3 checksummed
-    {!Stz_store.Artifact} container, durably: temp file, fsync of file
-    and parent directory, then rename — a crash at any point leaves
-    either the old checkpoint or the new one, never a torn file. *)
+(** One record of a version-3 checkpoint after its [meta] record. *)
+type checkpoint_item =
+  | Run of record
+  | State of int64 list * int option * int option
+      (** quarantined seeds, calibrated cycle and fuel budgets *)
+
+(** The checkpoint's {!Stz_store.Log} (kind ["szc-checkpoint"]). Its
+    meta is the campaign's identity and reference, records and state
+    left empty. {!load}, {!recover} and {!check} add the legacy JSON and
+    supervisor-state rules on top. *)
+module Checkpoint :
+  Stz_store.Log.S with type meta = campaign and type item = checkpoint_item
+
+(** Checkpoint IO. [save] rewrites the whole {!Checkpoint} durably:
+    temp file, fsync of file and parent directory, then rename — a
+    crash at any point leaves either the old checkpoint or the new one,
+    never a torn file. *)
 val save : string -> campaign -> unit
 
 (** Strict load: a container must parse completely (header, every
@@ -222,3 +235,8 @@ val load : string -> (campaign, string) result
     or [None] when the file was intact. [Error] only when not even the
     meta record survives (or the file is missing/unreadable). *)
 val recover : string -> (campaign * string option, string) result
+
+(** {!Stz_store.Log.check} over {!recover} and {!save}: a checkpoint
+    whose state had to be re-derived is salvageable, and its repair
+    writes the re-derived state. *)
+val check : repair:bool -> string -> Stz_store.Log.verdict

@@ -13,15 +13,21 @@ let clear_injector () = injector := None
 (* ------------------------------------------------------------------ *)
 
 let write_exact fd s =
-  let buf = Bytes.of_string s in
-  let len = Bytes.length buf in
+  let len = String.length s in
   let rec go pos =
     if pos < len then
-      match Unix.write fd buf pos (len - pos) with
+      match Unix.write_substring fd s pos (len - pos) with
       | k -> go (pos + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
   in
   go 0
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755
+    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* Directory fsync makes the rename itself durable (the file's data is
    durable after its own fsync, but the new directory entry is not).

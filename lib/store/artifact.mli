@@ -58,6 +58,15 @@ val write_file : string -> string -> unit
 (** [read_file path] — whole file as a string. *)
 val read_file : string -> (string, string) result
 
+(** [write_exact fd s] writes all of [s] at [fd]'s offset, retrying
+    short writes and [EINTR]. Neither atomic nor fsynced: incremental
+    logs ({!Log}) rely on salvage instead. *)
+val write_exact : Unix.file_descr -> string -> unit
+
+(** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).
+    Raises [Unix.Unix_error] on real failure. *)
+val mkdir_p : string -> unit
+
 (** {1 Record containers} *)
 
 (** The container magic ("%szc-artifact 1"); a file starting with it is

@@ -1,14 +1,9 @@
-(* Fuzz-campaign ledger: a container of one meta record plus one case
-   record per index, appended incrementally with the oplog discipline
-   (one unbuffered write(2) per record, torn-tail self-heal on reopen)
-   so the file is resumable byte-identically after a SIGKILL. *)
+(* Fuzz-campaign ledger: one meta record plus one case record per
+   index, kept with the Log discipline. *)
 
-module A = Artifact
+module Kv = Log.Kv
 
-let kind = "szc-fuzz"
-let meta_tag = "meta"
-let case_tag = "case"
-let header = A.header_line ~kind
+let ( let* ) = Result.bind
 
 type meta = {
   version : int;
@@ -48,85 +43,54 @@ let verdict_of_string = function
   | "hung" -> Some Hung
   | _ -> None
 
-(* Line-oriented "key value" payloads, fixed field order, like the
-   history ledger. Values may not contain newlines; free-text fields
-   are sanitized on write. *)
-
-let sanitize s =
-  String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) s
-
 let meta_to_payload m =
-  String.concat "\n"
+  Kv.encode
     [
-      "version " ^ string_of_int m.version;
-      "fuzz_seed " ^ Int64.to_string m.fuzz_seed;
-      "count " ^ string_of_int m.count;
-      "rand_runs " ^ string_of_int m.rand_runs;
-      "plant " ^ sanitize m.plant;
+      ("version", string_of_int m.version);
+      ("fuzz_seed", Int64.to_string m.fuzz_seed);
+      ("count", string_of_int m.count);
+      ("rand_runs", string_of_int m.rand_runs);
+      ("plant", Kv.sanitize m.plant);
     ]
 
 let case_to_payload c =
-  String.concat "\n"
+  Kv.encode
     [
-      "index " ^ string_of_int c.index;
-      "case_seed " ^ Int64.to_string c.case_seed;
-      "verdict " ^ verdict_to_string c.verdict;
-      "oracle " ^ sanitize c.oracle;
-      "detail " ^ sanitize c.detail;
-      "repro " ^ sanitize c.repro;
-      "repro_instrs " ^ string_of_int c.repro_instrs;
-      "shrink_steps " ^ string_of_int c.shrink_steps;
-      "result " ^ string_of_int c.result;
-      "cycles " ^ string_of_int c.cycles;
+      ("index", string_of_int c.index);
+      ("case_seed", Int64.to_string c.case_seed);
+      ("verdict", verdict_to_string c.verdict);
+      ("oracle", Kv.sanitize c.oracle);
+      ("detail", Kv.sanitize c.detail);
+      ("repro", Kv.sanitize c.repro);
+      ("repro_instrs", string_of_int c.repro_instrs);
+      ("shrink_steps", string_of_int c.shrink_steps);
+      ("result", string_of_int c.result);
+      ("cycles", string_of_int c.cycles);
     ]
 
-let fields_of_payload s =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.index_opt line ' ' with
-        | Some i ->
-            Hashtbl.replace tbl (String.sub line 0 i)
-              (String.sub line (i + 1) (String.length line - i - 1))
-        | None -> Hashtbl.replace tbl line "")
-    (String.split_on_char '\n' s);
-  tbl
-
-let ( let* ) = Result.bind
-
-let field tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "fuzzlog: missing field %S" key)
-
-let num tbl key conv =
-  let* v = field tbl key in
-  match conv v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "fuzzlog: bad field %S" key)
-
-let meta_of_payload s =
-  let tbl = fields_of_payload s in
-  let* version = num tbl "version" int_of_string_opt in
-  let* fuzz_seed = num tbl "fuzz_seed" Int64.of_string_opt in
-  let* count = num tbl "count" int_of_string_opt in
-  let* rand_runs = num tbl "rand_runs" int_of_string_opt in
-  let* plant = field tbl "plant" in
-  Ok { version; fuzz_seed; count; rand_runs; plant }
+let meta_of_payload = function
+  | None -> Error "missing meta record"
+  | Some s ->
+      let p = Kv.decode s in
+      let* version = Kv.num p "version" int_of_string_opt in
+      let* fuzz_seed = Kv.num p "fuzz_seed" Int64.of_string_opt in
+      let* count = Kv.num p "count" int_of_string_opt in
+      let* rand_runs = Kv.num p "rand_runs" int_of_string_opt in
+      let* plant = Kv.str p "plant" in
+      Ok { version; fuzz_seed; count; rand_runs; plant }
 
 let case_of_payload s =
-  let tbl = fields_of_payload s in
-  let* index = num tbl "index" int_of_string_opt in
-  let* case_seed = num tbl "case_seed" Int64.of_string_opt in
-  let* verdict = num tbl "verdict" verdict_of_string in
-  let* oracle = field tbl "oracle" in
-  let* detail = field tbl "detail" in
-  let* repro = field tbl "repro" in
-  let* repro_instrs = num tbl "repro_instrs" int_of_string_opt in
-  let* shrink_steps = num tbl "shrink_steps" int_of_string_opt in
-  let* result = num tbl "result" int_of_string_opt in
-  let* cycles = num tbl "cycles" int_of_string_opt in
+  let p = Kv.decode s in
+  let* index = Kv.num p "index" int_of_string_opt in
+  let* case_seed = Kv.num p "case_seed" Int64.of_string_opt in
+  let* verdict = Kv.num p "verdict" verdict_of_string in
+  let* oracle = Kv.str p "oracle" in
+  let* detail = Kv.str p "detail" in
+  let* repro = Kv.str p "repro" in
+  let* repro_instrs = Kv.num p "repro_instrs" int_of_string_opt in
+  let* shrink_steps = Kv.num p "shrink_steps" int_of_string_opt in
+  let* result = Kv.num p "result" int_of_string_opt in
+  let* cycles = Kv.num p "cycles" int_of_string_opt in
   Ok
     {
       index;
@@ -141,155 +105,22 @@ let case_of_payload s =
       cycles;
     }
 
-(* Strict record-list decode: meta first, then cases. [lenient] stops
-   at the first undecodable record instead of failing (salvage may
-   have kept a record whose bytes checksum but whose payload predates
-   a format change). *)
-let decode ~lenient records =
-  match records with
-  | [] -> Error "fuzzlog: empty container (no meta record)"
-  | (tag, payload) :: rest ->
-      if tag <> meta_tag then
-        Error (Printf.sprintf "fuzzlog: expected %S first, got %S" meta_tag tag)
-      else
-        let* meta = meta_of_payload payload in
-        let rec cases acc = function
-          | [] -> Ok (List.rev acc)
-          | (tag, payload) :: rest when tag = case_tag -> (
-              match case_of_payload payload with
-              | Ok c -> cases (c :: acc) rest
-              | Error e -> if lenient then Ok (List.rev acc) else Error e)
-          | (tag, _) :: rest ->
-              if lenient then cases acc rest
-              else Error (Printf.sprintf "fuzzlog: unknown record tag %S" tag)
-        in
-        let* cs = cases [] rest in
-        Ok (meta, cs)
+module Codec = struct
+  type nonrec meta = meta
+  type item = case
 
-(* Only a contiguous index prefix 0..k-1 is trustworthy for resume:
-   anything after a gap was appended out of order (impossible in a
-   healthy run) and is dropped. *)
-let contiguous_prefix cases =
-  let rec go next acc = function
-    | c :: rest when c.index = next -> go (next + 1) (c :: acc) rest
-    | _ -> List.rev acc
-  in
-  go 0 [] cases
+  let kind = "szc-fuzz"
+  let name = "fuzzlog"
+  let noun = "cases"
+  let meta_payload m = Some (meta_to_payload m)
+  let meta_of_payload = meta_of_payload
+  let item_record c = ("case", case_to_payload c)
 
-type t = { path : string; mutable fd : Unix.file_descr; mutable closed : bool }
+  let item_of_record = function
+    | "case", p -> Some (case_of_payload p)
+    | _ -> None
 
-let write_exact fd s =
-  let buf = Bytes.of_string s in
-  let len = Bytes.length buf in
-  let rec go pos =
-    if pos < len then
-      match Unix.write fd buf pos (len - pos) with
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-  in
-  go 0
+  let index = Some (fun c -> c.index)
+end
 
-let meta_record m = A.record_string (meta_tag, meta_to_payload m)
-let case_record c = A.record_string (case_tag, case_to_payload c)
-
-let wrap_io path f =
-  match f () with
-  | v -> Ok v
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "fuzzlog %s: %s" path (Unix.error_message e))
-  | exception Sys_error e -> Error (Printf.sprintf "fuzzlog %s: %s" path e)
-
-let create ~path meta =
-  wrap_io path (fun () ->
-      let fd =
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      in
-      write_exact fd header;
-      write_exact fd (meta_record meta);
-      { path; fd; closed = false })
-
-let meta_matches a b =
-  a.version = b.version && a.fuzz_seed = b.fuzz_seed && a.count = b.count
-  && a.rand_runs = b.rand_runs && a.plant = b.plant
-
-let resume ~path meta =
-  if
-    (not (Sys.file_exists path))
-    || (Unix.stat path).Unix.st_size = 0
-  then Result.map (fun t -> (t, [])) (create ~path meta)
-  else
-    let* text = A.read_file path in
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (Printf.sprintf "fuzzlog %s: not a %s container%s" path kind
-           (match s.A.error with Some e -> " (" ^ e ^ ")" | None -> ""))
-    else
-      let* stored, cases = decode ~lenient:true s.A.records in
-      if not (meta_matches stored meta) then
-        Error
-          (Printf.sprintf
-             "fuzzlog %s: campaign mismatch (ledger: seed=%Ld count=%d \
-              rand_runs=%d plant=%s; requested: seed=%Ld count=%d \
-              rand_runs=%d plant=%s)"
-             path stored.fuzz_seed stored.count stored.rand_runs stored.plant
-             meta.fuzz_seed meta.count meta.rand_runs meta.plant)
-      else
-        let cases = contiguous_prefix cases in
-        (* Rebuild the exact byte prefix an uninterrupted run would
-           have at this point — covers torn tails, undecodable-but-
-           checksummed records, and out-of-order survivors alike. *)
-        let good =
-          header ^ meta_record stored
-          ^ String.concat "" (List.map case_record cases)
-        in
-        wrap_io path (fun () ->
-            let fd =
-              Unix.openfile path
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-                0o644
-            in
-            write_exact fd good;
-            ({ path; fd; closed = false }, cases))
-
-let append t c =
-  if t.closed then invalid_arg "Fuzzlog.append: closed";
-  write_exact t.fd (case_record c)
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
-
-let load path =
-  let* k, records = A.read_records path in
-  if k <> kind then Error "fuzzlog: unexpected artifact kind"
-  else decode ~lenient:false records
-
-let recover path =
-  let* text = A.read_file path in
-  if not (A.is_container text) then Error "fuzzlog: not a container"
-  else
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (match s.A.error with
-        | Some e -> e
-        | None -> "fuzzlog: unexpected artifact kind")
-    else
-      let* meta, cases = decode ~lenient:true s.A.records in
-      let note =
-        match s.A.error with
-        | None -> None
-        | Some e ->
-            Some
-              (Printf.sprintf "salvaged %d of %d bytes (%d cases): %s"
-                 s.A.valid_bytes s.A.total_bytes (List.length cases) e)
-      in
-      Ok (meta, cases, note)
-
-let rewrite path meta cases =
-  A.write_records path ~kind
-    ((meta_tag, meta_to_payload meta)
-    :: List.map (fun c -> (case_tag, case_to_payload c)) cases)
+include (Log.Make (Codec) : Log.S with type meta := meta and type item = case)

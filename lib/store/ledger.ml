@@ -15,66 +15,40 @@ type entry = {
   verdict : string;
 }
 
-let kind = "szc-ledger"
-let record_tag = "campaign"
-
 (* Line-oriented payload: one "key value" pair per line, fixed order.
    Floats are written as hexadecimal literals so they round-trip
    bit-exactly — the regression decision must be recomputable from the
    ledger alone, on any machine, to the last bit. *)
 
-let float_str x = Printf.sprintf "%h" x
+module Kv = Log.Kv
 
 let entry_to_payload e =
-  String.concat "\n"
+  Kv.encode
     [
-      "label " ^ e.label;
-      "fingerprint " ^ e.fingerprint;
-      "base_seed " ^ Int64.to_string e.base_seed;
-      "runs " ^ string_of_int e.runs;
-      "completed " ^ string_of_int e.completed;
-      "censored " ^ string_of_int e.censored;
-      "mean " ^ float_str e.mean;
-      "sd " ^ float_str e.sd;
-      "min " ^ float_str e.min;
-      "max " ^ float_str e.max;
-      "skewness " ^ float_str e.skewness;
-      "kurtosis " ^ float_str e.kurtosis;
-      "detectable_effect " ^ float_str e.detectable_effect;
-      "verdict " ^ e.verdict;
+      ("label", e.label);
+      ("fingerprint", e.fingerprint);
+      ("base_seed", Int64.to_string e.base_seed);
+      ("runs", string_of_int e.runs);
+      ("completed", string_of_int e.completed);
+      ("censored", string_of_int e.censored);
+      ("mean", Kv.hex e.mean);
+      ("sd", Kv.hex e.sd);
+      ("min", Kv.hex e.min);
+      ("max", Kv.hex e.max);
+      ("skewness", Kv.hex e.skewness);
+      ("kurtosis", Kv.hex e.kurtosis);
+      ("detectable_effect", Kv.hex e.detectable_effect);
+      ("verdict", e.verdict);
     ]
 
 let entry_of_payload s =
-  let fields = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.index_opt line ' ' with
-        | Some i ->
-            Hashtbl.replace fields
-              (String.sub line 0 i)
-              (String.sub line (i + 1) (String.length line - i - 1))
-        | None -> Hashtbl.replace fields line "")
-    (String.split_on_char '\n' s);
+  let p = Kv.decode s in
   let ( let* ) = Result.bind in
-  let str key =
-    match Hashtbl.find_opt fields key with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "ledger: missing field %S" key)
-  in
-  let num key conv =
-    let* v = str key in
-    match conv v with
-    | Some x -> Ok x
-    | None | (exception Failure _) ->
-        Error (Printf.sprintf "ledger: bad field %S" key)
-  in
-  let int key = num key int_of_string_opt in
-  let i64 key = num key Int64.of_string_opt in
-  let flt key = num key float_of_string_opt in
-  let* label = str "label" in
-  let* fingerprint = str "fingerprint" in
-  let* base_seed = i64 "base_seed" in
+  let int key = Kv.num p key int_of_string_opt in
+  let flt key = Kv.num p key float_of_string_opt in
+  let* label = Kv.str p "label" in
+  let* fingerprint = Kv.str p "fingerprint" in
+  let* base_seed = Kv.num p "base_seed" Int64.of_string_opt in
   let* runs = int "runs" in
   let* completed = int "completed" in
   let* censored = int "censored" in
@@ -85,7 +59,7 @@ let entry_of_payload s =
   let* skewness = flt "skewness" in
   let* kurtosis = flt "kurtosis" in
   let* detectable_effect = flt "detectable_effect" in
-  let* verdict = str "verdict" in
+  let* verdict = Kv.str p "verdict" in
   Ok
     {
       label;
@@ -104,66 +78,36 @@ let entry_of_payload s =
       verdict;
     }
 
-let entries_of_records ~lenient records =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (tag, payload) :: rest when tag = record_tag -> (
-        match entry_of_payload payload with
-        | Ok e -> go (e :: acc) rest
-        | Error e -> if lenient then Ok (List.rev acc) else Error e)
-    | (tag, _) :: rest ->
-        if lenient then go acc rest
-        else Error (Printf.sprintf "ledger: unknown record tag %S" tag)
-  in
-  go [] records
+include Log.Make (struct
+  type meta = unit
+  type item = entry
 
-let write path entries =
-  Artifact.write_records path ~kind
-    (List.map (fun e -> (record_tag, entry_to_payload e)) entries)
+  let kind = "szc-ledger"
+  let name = "ledger"
+  let noun = "entries"
+  let meta_payload () = None
+  let meta_of_payload _ = Ok ()
+  let item_record e = ("campaign", entry_to_payload e)
 
-let load path =
-  match Artifact.read_records path with
-  | Error e -> Error e
-  | Ok (k, records) ->
-      if k <> kind then Error "ledger: unexpected artifact kind"
-      else entries_of_records ~lenient:false records
+  let item_of_record = function
+    | "campaign", p -> Some (entry_of_payload p)
+    | _ -> None
 
-let recover path =
-  match Artifact.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-      if not (Artifact.is_container text) then Error "ledger: not a container"
-      else
-        let s = Artifact.salvage_string text in
-        if s.Artifact.kind <> Some kind then
-          Error
-            (match s.Artifact.error with
-            | Some e -> e
-            | None -> "ledger: unexpected artifact kind")
-        else
-          Result.map
-            (fun entries ->
-              let note =
-                match s.Artifact.error with
-                | None -> None
-                | Some e ->
-                    Some
-                      (Printf.sprintf "salvaged %d of %d bytes (%d entries): %s"
-                         s.Artifact.valid_bytes s.Artifact.total_bytes
-                         (List.length entries) e)
-              in
-              (entries, note))
-            (entries_of_records ~lenient:true s.Artifact.records)
+  let index = None
+end)
 
+(* Strict load, then an atomic whole-file rewrite: a corrupt ledger is
+   refused, never truncated by an append. *)
 let append path e =
   (* A zero-length file is a fresh ledger, not a corrupt one: callers
      (and Filename.temp_file) routinely pre-create the file empty. *)
   let existing =
-    if Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 then load path
+    if Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 then
+      Result.map snd (load path)
     else Ok []
   in
-  match existing with
-  | Error err -> Error err
-  | Ok entries ->
-      write path (entries @ [ e ]);
-      Ok (List.length entries)
+  Result.map
+    (fun entries ->
+      rewrite path () (entries @ [ e ]);
+      List.length entries)
+    existing

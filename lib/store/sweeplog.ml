@@ -1,15 +1,10 @@
 (* Layout-sweep ledger: one meta record plus one case record per swept
-   index, appended with the oplog discipline (one unbuffered write(2)
-   per record, torn-tail self-heal on reopen) so the file is resumable
-   byte-identically after a SIGKILL. Effect sizes are hex-float encoded
-   so records round-trip bit-exactly. *)
+   index, kept with the Log discipline. Effect sizes are hex-float
+   encoded so records round-trip bit-exactly. *)
 
-module A = Artifact
+module Kv = Log.Kv
 
-let kind = "szc-sweep"
-let meta_tag = "meta"
-let case_tag = "case"
-let header = A.header_line ~kind
+let ( let* ) = Result.bind
 
 type meta = {
   version : int;
@@ -57,105 +52,83 @@ let verdict_of_string = function
   | "hung" -> Some Hung
   | _ -> None
 
-let sanitize s =
-  String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) s
-
-(* %h hex floats print and parse bit-exactly, the history-ledger trick
-   that keeps resume byte-identity independent of decimal rounding. *)
-let float_str x = Printf.sprintf "%h" x
-
 let meta_to_payload m =
-  String.concat "\n"
+  Kv.encode
     [
-      "version " ^ string_of_int m.version;
-      "fuzz_seed " ^ Int64.to_string m.fuzz_seed;
-      "count " ^ string_of_int m.count;
-      "layout_seeds " ^ string_of_int m.layout_seeds;
-      "variants " ^ string_of_int m.variants;
-      "threshold " ^ float_str m.threshold;
-      "shrink_budget " ^ string_of_int m.shrink_budget;
+      ("version", string_of_int m.version);
+      ("fuzz_seed", Int64.to_string m.fuzz_seed);
+      ("count", string_of_int m.count);
+      ("layout_seeds", string_of_int m.layout_seeds);
+      ("variants", string_of_int m.variants);
+      ("threshold", Kv.hex m.threshold);
+      ("shrink_budget", string_of_int m.shrink_budget);
     ]
 
 let case_to_payload c =
-  String.concat "\n"
+  Kv.encode
     [
-      "index " ^ string_of_int c.index;
-      "case_seed " ^ Int64.to_string c.case_seed;
-      "verdict " ^ verdict_to_string c.verdict;
-      "eta2 " ^ float_str c.eta2;
-      "partial_eta2 " ^ float_str c.partial_eta2;
-      "workload_share " ^ float_str c.workload_share;
-      "residual_share " ^ float_str c.residual_share;
-      "mean_cycles " ^ string_of_int c.mean_cycles;
-      "instrs " ^ string_of_int c.instrs;
-      "structure " ^ sanitize c.structure;
-      "victim " ^ string_of_int c.victim;
-      "evictor " ^ string_of_int c.evictor;
-      "conflict_events " ^ string_of_int c.conflict_events;
-      "conflict_cycles " ^ string_of_int c.conflict_cycles;
-      "repro " ^ sanitize c.repro;
-      "repro_instrs " ^ string_of_int c.repro_instrs;
-      "shrink_steps " ^ string_of_int c.shrink_steps;
-      "detail " ^ sanitize c.detail;
+      ("index", string_of_int c.index);
+      ("case_seed", Int64.to_string c.case_seed);
+      ("verdict", verdict_to_string c.verdict);
+      ("eta2", Kv.hex c.eta2);
+      ("partial_eta2", Kv.hex c.partial_eta2);
+      ("workload_share", Kv.hex c.workload_share);
+      ("residual_share", Kv.hex c.residual_share);
+      ("mean_cycles", string_of_int c.mean_cycles);
+      ("instrs", string_of_int c.instrs);
+      ("structure", Kv.sanitize c.structure);
+      ("victim", string_of_int c.victim);
+      ("evictor", string_of_int c.evictor);
+      ("conflict_events", string_of_int c.conflict_events);
+      ("conflict_cycles", string_of_int c.conflict_cycles);
+      ("repro", Kv.sanitize c.repro);
+      ("repro_instrs", string_of_int c.repro_instrs);
+      ("shrink_steps", string_of_int c.shrink_steps);
+      ("detail", Kv.sanitize c.detail);
     ]
 
-let fields_of_payload s =
-  let tbl = Hashtbl.create 24 in
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.index_opt line ' ' with
-        | Some i ->
-            Hashtbl.replace tbl (String.sub line 0 i)
-              (String.sub line (i + 1) (String.length line - i - 1))
-        | None -> Hashtbl.replace tbl line "")
-    (String.split_on_char '\n' s);
-  tbl
-
-let ( let* ) = Result.bind
-
-let field tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "sweeplog: missing field %S" key)
-
-let num tbl key conv =
-  let* v = field tbl key in
-  match conv v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "sweeplog: bad field %S" key)
-
-let meta_of_payload s =
-  let tbl = fields_of_payload s in
-  let* version = num tbl "version" int_of_string_opt in
-  let* fuzz_seed = num tbl "fuzz_seed" Int64.of_string_opt in
-  let* count = num tbl "count" int_of_string_opt in
-  let* layout_seeds = num tbl "layout_seeds" int_of_string_opt in
-  let* variants = num tbl "variants" int_of_string_opt in
-  let* threshold = num tbl "threshold" float_of_string_opt in
-  let* shrink_budget = num tbl "shrink_budget" int_of_string_opt in
-  Ok { version; fuzz_seed; count; layout_seeds; variants; threshold; shrink_budget }
+let meta_of_payload = function
+  | None -> Error "missing meta record"
+  | Some s ->
+      let p = Kv.decode s in
+      let* version = Kv.num p "version" int_of_string_opt in
+      let* fuzz_seed = Kv.num p "fuzz_seed" Int64.of_string_opt in
+      let* count = Kv.num p "count" int_of_string_opt in
+      let* layout_seeds = Kv.num p "layout_seeds" int_of_string_opt in
+      let* variants = Kv.num p "variants" int_of_string_opt in
+      let* threshold = Kv.num p "threshold" float_of_string_opt in
+      let* shrink_budget = Kv.num p "shrink_budget" int_of_string_opt in
+      Ok
+        {
+          version;
+          fuzz_seed;
+          count;
+          layout_seeds;
+          variants;
+          threshold;
+          shrink_budget;
+        }
 
 let case_of_payload s =
-  let tbl = fields_of_payload s in
-  let* index = num tbl "index" int_of_string_opt in
-  let* case_seed = num tbl "case_seed" Int64.of_string_opt in
-  let* verdict = num tbl "verdict" verdict_of_string in
-  let* eta2 = num tbl "eta2" float_of_string_opt in
-  let* partial_eta2 = num tbl "partial_eta2" float_of_string_opt in
-  let* workload_share = num tbl "workload_share" float_of_string_opt in
-  let* residual_share = num tbl "residual_share" float_of_string_opt in
-  let* mean_cycles = num tbl "mean_cycles" int_of_string_opt in
-  let* instrs = num tbl "instrs" int_of_string_opt in
-  let* structure = field tbl "structure" in
-  let* victim = num tbl "victim" int_of_string_opt in
-  let* evictor = num tbl "evictor" int_of_string_opt in
-  let* conflict_events = num tbl "conflict_events" int_of_string_opt in
-  let* conflict_cycles = num tbl "conflict_cycles" int_of_string_opt in
-  let* repro = field tbl "repro" in
-  let* repro_instrs = num tbl "repro_instrs" int_of_string_opt in
-  let* shrink_steps = num tbl "shrink_steps" int_of_string_opt in
-  let* detail = field tbl "detail" in
+  let p = Kv.decode s in
+  let* index = Kv.num p "index" int_of_string_opt in
+  let* case_seed = Kv.num p "case_seed" Int64.of_string_opt in
+  let* verdict = Kv.num p "verdict" verdict_of_string in
+  let* eta2 = Kv.num p "eta2" float_of_string_opt in
+  let* partial_eta2 = Kv.num p "partial_eta2" float_of_string_opt in
+  let* workload_share = Kv.num p "workload_share" float_of_string_opt in
+  let* residual_share = Kv.num p "residual_share" float_of_string_opt in
+  let* mean_cycles = Kv.num p "mean_cycles" int_of_string_opt in
+  let* instrs = Kv.num p "instrs" int_of_string_opt in
+  let* structure = Kv.str p "structure" in
+  let* victim = Kv.num p "victim" int_of_string_opt in
+  let* evictor = Kv.num p "evictor" int_of_string_opt in
+  let* conflict_events = Kv.num p "conflict_events" int_of_string_opt in
+  let* conflict_cycles = Kv.num p "conflict_cycles" int_of_string_opt in
+  let* repro = Kv.str p "repro" in
+  let* repro_instrs = Kv.num p "repro_instrs" int_of_string_opt in
+  let* shrink_steps = Kv.num p "shrink_steps" int_of_string_opt in
+  let* detail = Kv.str p "detail" in
   Ok
     {
       index;
@@ -178,150 +151,22 @@ let case_of_payload s =
       detail;
     }
 
-let decode ~lenient records =
-  match records with
-  | [] -> Error "sweeplog: empty container (no meta record)"
-  | (tag, payload) :: rest ->
-      if tag <> meta_tag then
-        Error (Printf.sprintf "sweeplog: expected %S first, got %S" meta_tag tag)
-      else
-        let* meta = meta_of_payload payload in
-        let rec cases acc = function
-          | [] -> Ok (List.rev acc)
-          | (tag, payload) :: rest when tag = case_tag -> (
-              match case_of_payload payload with
-              | Ok c -> cases (c :: acc) rest
-              | Error e -> if lenient then Ok (List.rev acc) else Error e)
-          | (tag, _) :: rest ->
-              if lenient then cases acc rest
-              else Error (Printf.sprintf "sweeplog: unknown record tag %S" tag)
-        in
-        let* cs = cases [] rest in
-        Ok (meta, cs)
+module Codec = struct
+  type nonrec meta = meta
+  type item = case
 
-(* Only a contiguous index prefix 0..k-1 is trustworthy for resume. *)
-let contiguous_prefix cases =
-  let rec go next acc = function
-    | c :: rest when c.index = next -> go (next + 1) (c :: acc) rest
-    | _ -> List.rev acc
-  in
-  go 0 [] cases
+  let kind = "szc-sweep"
+  let name = "sweeplog"
+  let noun = "cases"
+  let meta_payload m = Some (meta_to_payload m)
+  let meta_of_payload = meta_of_payload
+  let item_record c = ("case", case_to_payload c)
 
-type t = { path : string; mutable fd : Unix.file_descr; mutable closed : bool }
+  let item_of_record = function
+    | "case", p -> Some (case_of_payload p)
+    | _ -> None
 
-let write_exact fd s =
-  let buf = Bytes.of_string s in
-  let len = Bytes.length buf in
-  let rec go pos =
-    if pos < len then
-      match Unix.write fd buf pos (len - pos) with
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-  in
-  go 0
+  let index = Some (fun c -> c.index)
+end
 
-let meta_record m = A.record_string (meta_tag, meta_to_payload m)
-let case_record c = A.record_string (case_tag, case_to_payload c)
-
-let wrap_io path f =
-  match f () with
-  | v -> Ok v
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "sweeplog %s: %s" path (Unix.error_message e))
-  | exception Sys_error e -> Error (Printf.sprintf "sweeplog %s: %s" path e)
-
-let create ~path meta =
-  wrap_io path (fun () ->
-      let fd =
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-      in
-      write_exact fd header;
-      write_exact fd (meta_record meta);
-      { path; fd; closed = false })
-
-(* Hex-float round-tripping makes the threshold comparison exact. *)
-let meta_matches a b =
-  a.version = b.version && a.fuzz_seed = b.fuzz_seed && a.count = b.count
-  && a.layout_seeds = b.layout_seeds
-  && a.variants = b.variants
-  && Int64.bits_of_float a.threshold = Int64.bits_of_float b.threshold
-  && a.shrink_budget = b.shrink_budget
-
-let resume ~path meta =
-  if (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size = 0 then
-    Result.map (fun t -> (t, [])) (create ~path meta)
-  else
-    let* text = A.read_file path in
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (Printf.sprintf "sweeplog %s: not a %s container%s" path kind
-           (match s.A.error with Some e -> " (" ^ e ^ ")" | None -> ""))
-    else
-      let* stored, cases = decode ~lenient:true s.A.records in
-      if not (meta_matches stored meta) then
-        Error
-          (Printf.sprintf
-             "sweeplog %s: sweep mismatch (ledger: seed=%Ld count=%d K=%d \
-              W=%d; requested: seed=%Ld count=%d K=%d W=%d)"
-             path stored.fuzz_seed stored.count stored.layout_seeds
-             stored.variants meta.fuzz_seed meta.count meta.layout_seeds
-             meta.variants)
-      else
-        let cases = contiguous_prefix cases in
-        (* Rebuild the exact byte prefix an uninterrupted run would
-           have at this point. *)
-        let good =
-          header ^ meta_record stored
-          ^ String.concat "" (List.map case_record cases)
-        in
-        wrap_io path (fun () ->
-            let fd =
-              Unix.openfile path
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-                0o644
-            in
-            write_exact fd good;
-            ({ path; fd; closed = false }, cases))
-
-let append t c =
-  if t.closed then invalid_arg "Sweeplog.append: closed";
-  write_exact t.fd (case_record c)
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
-
-let load path =
-  let* k, records = A.read_records path in
-  if k <> kind then Error "sweeplog: unexpected artifact kind"
-  else decode ~lenient:false records
-
-let recover path =
-  let* text = A.read_file path in
-  if not (A.is_container text) then Error "sweeplog: not a container"
-  else
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (match s.A.error with
-        | Some e -> e
-        | None -> "sweeplog: unexpected artifact kind")
-    else
-      let* meta, cases = decode ~lenient:true s.A.records in
-      let note =
-        match s.A.error with
-        | None -> None
-        | Some e ->
-            Some
-              (Printf.sprintf "salvaged %d of %d bytes (%d cases): %s"
-                 s.A.valid_bytes s.A.total_bytes (List.length cases) e)
-      in
-      Ok (meta, cases, note)
-
-let rewrite path meta cases =
-  A.write_records path ~kind
-    ((meta_tag, meta_to_payload meta)
-    :: List.map (fun c -> (case_tag, case_to_payload c)) cases)
+include (Log.Make (Codec) : Log.S with type meta := meta and type item = case)

@@ -1,88 +1,65 @@
 (* Structured operational log for the daemon: one JSON object per
-   record, framed with the store's container/CRC discipline so a crash
-   mid-write salvages to the longest valid prefix and `szc fsck` can
-   diagnose and repair it like any other artifact. Appends are one
-   write(2) each — no buffering, so a forked child inheriting the fd
-   never duplicates bytes at exit. *)
+   record, kept with the store's Log discipline, plus size-based
+   rotation and swallowed IO errors. *)
 
 module A = Stz_store.Artifact
 
-let kind = "szc-oplog"
-let record_tag = "op"
-let header = A.header_line ~kind
+module Codec = struct
+  type meta = unit
+  type item = Json.t
+
+  let kind = "szc-oplog"
+  let name = "oplog"
+  let noun = "records"
+  let meta_payload () = None
+  let meta_of_payload _ = Ok ()
+  let item_record j = ("op", Json.to_string j)
+
+  let item_of_record = function
+    | "op", p ->
+        Some
+          (Result.map_error
+             (fun e -> "bad record payload: " ^ e)
+             (Json.of_string p))
+    | _ -> None
+
+  let index = None
+end
+
+module L = Stz_store.Log.Make (Codec)
+
+include (L : Stz_store.Log.FILE with type meta = unit and type item = Json.t)
 
 type t = {
   path : string;
   max_bytes : int;
   keep : int;
-  mutable fd : Unix.file_descr;
-  mutable size : int;
+  mutable log : L.t;
   mutable closed : bool;
 }
 
-let write_exact fd s =
-  let buf = Bytes.of_string s in
-  let len = Bytes.length buf in
-  let rec go pos =
-    if pos < len then
-      match Unix.write fd buf pos (len - pos) with
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-  in
-  go 0
+let header_bytes = String.length (A.header_line ~kind)
 
-let open_fresh path =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  write_exact fd header;
-  (fd, String.length header)
-
-(* A reopened oplog self-heals: a torn tail (daemon SIGKILLed
-   mid-write) is truncated back to the longest valid record prefix so
-   subsequent appends stay parseable; a file that is not our container
+(* Reopening self-heals a torn tail; a file that is not our container
    at all is moved aside rather than silently destroyed. *)
-let open_existing path =
-  match A.read_file path with
-  | Error _ -> open_fresh path
-  | Ok text when String.length text = 0 -> open_fresh path
-  | Ok text -> (
-      let s = A.salvage_string text in
-      match s.A.kind with
-      | Some k when k = kind ->
-          let valid = s.A.valid_bytes in
-          if valid = String.length text then begin
-            let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-            (fd, valid)
-          end
-          else begin
-            let fd =
-              Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            write_exact fd (String.sub text 0 valid);
-            (fd, valid)
-          end
-      | _ ->
-          (try Sys.rename path (path ^ ".corrupt") with Sys_error _ -> ());
-          open_fresh path)
+let reopen path =
+  match L.resume ~path () with
+  | Ok (l, _) -> Ok l
+  | Error _ ->
+      (try Sys.rename path (path ^ ".corrupt") with Sys_error _ -> ());
+      L.create ~path ()
 
 let create ~path ?(max_bytes = 4 * 1024 * 1024) ?(keep = 3) () =
-  match
-    let fd, size =
-      if Sys.file_exists path then open_existing path else open_fresh path
-    in
-    { path; max_bytes = Stdlib.max max_bytes (String.length header + 1); keep; fd; size; closed = false }
-  with
-  | t -> Ok t
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "oplog %s: %s" path (Unix.error_message e))
-  | exception Sys_error e -> Error (Printf.sprintf "oplog %s: %s" path e)
+  let max_bytes = Stdlib.max max_bytes (header_bytes + 1) in
+  Result.map
+    (fun log -> { path; max_bytes; keep; log; closed = false })
+    (reopen path)
 
 let rotated t i = Printf.sprintf "%s.%d" t.path i
 
 (* path -> path.1 -> path.2 ... up to [keep] rotated generations. *)
 let rotate t =
-  (try Unix.close t.fd with Unix.Unix_error _ -> ());
+  L.close t.log;
   (try Sys.remove (rotated t t.keep) with Sys_error _ -> ());
   for i = t.keep - 1 downto 1 do
     if Sys.file_exists (rotated t i) then
@@ -90,21 +67,19 @@ let rotate t =
   done;
   (if t.keep >= 1 then
      try Sys.rename t.path (rotated t 1) with Sys_error _ -> ());
-  let fd, size = open_fresh t.path in
-  t.fd <- fd;
-  t.size <- size
+  (* A generation that cannot be started turns the oplog off. *)
+  match L.create ~path:t.path () with
+  | Ok l -> t.log <- l
+  | Error _ -> t.closed <- true
 
 let log t json =
-  if not t.closed then begin
-    let bytes = A.record_string (record_tag, Json.to_string json) in
-    if
-      t.size > String.length header
-      && t.size + String.length bytes > t.max_bytes
-    then rotate t;
-    match write_exact t.fd bytes with
-    | () -> t.size <- t.size + String.length bytes
-    | exception Unix.Unix_error _ -> ()
-  end
+  if not t.closed then
+    try
+      let size = L.size t.log in
+      let bytes = String.length (A.record_string (Codec.item_record json)) in
+      if size > header_bytes && size + bytes > t.max_bytes then rotate t;
+      if not t.closed then L.append t.log json
+    with Unix.Unix_error _ | Sys_error _ -> ()
 
 let event t ~ts_ms ~ev fields =
   log t (Json.Obj (("ts_ms", Json.Int ts_ms) :: ("ev", Json.String ev) :: fields))
@@ -114,67 +89,5 @@ let path t = t.path
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    L.close t.log
   end
-
-(* ------------------------------------------------------------------ *)
-(* Read side (fsck, tests)                                             *)
-(* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
-
-let parse_records ~lenient records =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (tag, payload) :: rest when tag = record_tag -> (
-        match Json.of_string payload with
-        | Ok j -> go (j :: acc) rest
-        | Error e ->
-            if lenient then Ok (List.rev acc)
-            else Error ("oplog: bad record payload: " ^ e))
-    | (tag, _) :: rest ->
-        if lenient then go acc rest
-        else Error (Printf.sprintf "oplog: unknown record tag %S" tag)
-  in
-  go [] records
-
-let load path =
-  let* k, records = A.read_records path in
-  let* () =
-    if k = kind then Ok ()
-    else Error (Printf.sprintf "oplog: unexpected artifact kind %S" k)
-  in
-  parse_records ~lenient:false records
-
-(* Longest valid prefix, as raw (tag, payload) records suitable for
-   {!rewrite}; the note reports what was lost, [None] when intact. *)
-let recover path =
-  let* text = A.read_file path in
-  if not (A.is_container text) then Error "oplog: not a container"
-  else
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (match s.A.error with
-        | Some e -> e
-        | None -> "oplog: unexpected artifact kind")
-    else
-      let rec valid_prefix acc = function
-        | (tag, payload) :: rest
-          when tag = record_tag && Result.is_ok (Json.of_string payload) ->
-            valid_prefix ((tag, payload) :: acc) rest
-        | _ -> List.rev acc
-      in
-      let records = valid_prefix [] s.A.records in
-      let note =
-        if s.A.error = None && List.length records = List.length s.A.records
-        then None
-        else
-          Some
-            (Printf.sprintf "salvaged %d of %d bytes (%d records)%s"
-               s.A.valid_bytes s.A.total_bytes (List.length records)
-               (match s.A.error with Some e -> ": " ^ e | None -> ""))
-      in
-      Ok (records, note)
-
-let rewrite path records = A.write_records path ~kind records

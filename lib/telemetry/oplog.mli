@@ -1,15 +1,12 @@
 (** Structured operational log (oplog): an append-only JSONL stream of
-    daemon lifecycle events, framed with the {!Stz_store.Artifact}
-    container/CRC discipline.
-
-    Each record is one compact JSON object checksummed with CRC-32, so
-    the file is a valid [%szc-artifact] container of kind
-    ["szc-oplog"]: [szc fsck] verifies it, a SIGKILL mid-write
-    salvages to the longest valid record prefix, and a reopened oplog
-    {e self-heals} (the torn tail is truncated before appending
-    resumes). Appends are one [write(2)] each — unbuffered, so a
-    forked child that inherits the descriptor can never duplicate
-    bytes at exit; the child simply closes the fd and stays silent.
+    daemon lifecycle events, kept with the {!Stz_store.Log} discipline
+    as a container of kind ["szc-oplog"] — one compact JSON object per
+    [op] record, no meta record. [szc fsck] verifies it, a SIGKILL
+    mid-write salvages to the longest valid record prefix, and a
+    reopened oplog self-heals its torn tail before appending resumes.
+    Appends are one unbuffered [write(2)] each, so a forked child that
+    inherits the descriptor can never duplicate bytes at exit; the
+    child simply closes the fd and stays silent.
 
     Size-based rotation: when the current file would exceed
     [max_bytes], it is renamed to [path.1] (shifting [path.1] to
@@ -20,13 +17,13 @@
     or written from — campaign execution; enabling the oplog changes
     zero bytes of any campaign artifact. *)
 
+(** Strict and lenient reads, rewrite and fsck check. *)
+include Stz_store.Log.FILE with type meta = unit and type item = Json.t
+
 type t
 
-(** The container kind, ["szc-oplog"] — what [szc fsck] dispatches
-    on. *)
-val kind : string
-
-(** Open (or create) the oplog at [path], self-healing any torn tail.
+(** Open (or create) the oplog at [path], self-healing any torn tail; a
+    file that is not an oplog is moved aside to [path.corrupt].
     [max_bytes] (default 4 MiB) bounds each generation; [keep]
     (default 3) rotated generations are retained. *)
 val create :
@@ -43,15 +40,3 @@ val event : t -> ts_ms:int -> ev:string -> (string * Json.t) list -> unit
 
 val path : t -> string
 val close : t -> unit
-
-(** Strict read: every record frames, checksums and parses as JSON. *)
-val load : string -> (Json.t list, string) result
-
-(** Lenient read for repair: the longest valid prefix of records (raw
-    [(tag, payload)] pairs, ready for {!rewrite}) plus a salvage note
-    ([None] when the file was intact). *)
-val recover : string -> ((string * string) list * string option, string) result
-
-(** Rewrite the file as a clean container holding exactly [records]
-    (atomic + durable via the artifact layer). *)
-val rewrite : string -> (string * string) list -> unit

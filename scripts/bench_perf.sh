@@ -2,8 +2,10 @@
 # Self-timing perf harness driver, used by CI and runnable locally:
 #
 #   1. build and run bench/perf.exe over the workload matrix, emitting
-#      BENCH_9.json at the repo root and appending one history-ledger
-#      entry per workload (seconds per simulated run);
+#      $OUT (default BENCH_local.json, gitignored, so committed
+#      BENCH_<PR>.json snapshots are never overwritten) and appending
+#      one history-ledger entry per workload (seconds per simulated
+#      run);
 #   2. dog-food gate: point `szc regress` — the same Cohen's-d
 #      confidence-interval machinery that judges simulated campaigns —
 #      at the harness's own ledger, per workload label. The latest
@@ -20,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT=${OUT:-BENCH_9.json}
+OUT=${OUT:-BENCH_local.json}
 LEDGER=${LEDGER:-bench/perf.ledger}
 PERF_RUNS=${PERF_RUNS:-12}
 PERF_REPEATS=${PERF_REPEATS:-5}

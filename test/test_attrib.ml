@@ -16,31 +16,7 @@ module Runtime = Stabilizer.Runtime
 module Config = Stabilizer.Config
 module Workload = Stz_workloads.Conflict
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
-
-let unwrap = function Ok v -> v | Error e -> Alcotest.fail e
-
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
-
-let with_temp_dir f =
-  let path = Filename.temp_file "szc-attrib-test" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* Plane separation                                                    *)
@@ -145,59 +121,26 @@ let report_independent_of_jobs () =
 (* Sweep ledger                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let meta =
-  {
-    Sl.version = 1;
-    fuzz_seed = 9L;
-    count = 4;
-    layout_seeds = 4;
-    variants = 3;
-    threshold = 0.25;
-    shrink_budget = 10;
-  }
-
-let case i =
-  {
-    Sl.index = i;
-    case_seed = Int64.of_int (1000 + i);
-    verdict = (if i mod 3 = 2 then Sl.Trapped else Sl.Measured);
-    eta2 = 0.1 +. (0.7 /. float_of_int (i + 1));
-    partial_eta2 = 0.99;
-    workload_share = 0.2;
-    residual_share = 1e-9;
-    mean_cycles = 4000 + i;
-    instrs = 200 + i;
-    structure = "l1i";
-    victim = 1;
-    evictor = 2;
-    conflict_events = 17 * (i + 1);
-    conflict_cycles = 170 * (i + 1);
-    repro = (if i = 0 then "repro-000000.szt" else "");
-    repro_instrs = (if i = 0 then 12 else 0);
-    shrink_steps = (if i = 0 then 5 else 0);
-    detail = "multi\nline gets sanitized";
-  }
-
 let sweeplog_round_trip () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "sweep.log" in
-      let t = unwrap (Sl.create ~path meta) in
-      List.iter (fun i -> Sl.append t (case i)) [ 0; 1; 2; 3 ];
+      let t = unwrap (Sl.create ~path sweep_meta) in
+      List.iter (fun i -> Sl.append t (sweep_case i)) [ 0; 1; 2; 3 ];
       Sl.close t;
       let m, cases = unwrap (Sl.load path) in
-      check_bool "meta" true (m = meta);
+      check_bool "meta" true (m = sweep_meta);
       check_int "cases" 4 (List.length cases);
       let c0 = List.hd cases in
       check_bool "floats bit-exact" true
-        (Int64.bits_of_float c0.Sl.eta2 = Int64.bits_of_float (case 0).Sl.eta2);
+        (Int64.bits_of_float c0.Sl.eta2 = Int64.bits_of_float (sweep_case 0).Sl.eta2);
       check_string "sanitized" "multi line gets sanitized" c0.Sl.detail;
       check_string "repro" "repro-000000.szt" c0.Sl.repro)
 
 let sweeplog_resume_self_heals () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "sweep.log" in
-      let t = unwrap (Sl.create ~path meta) in
-      List.iter (fun i -> Sl.append t (case i)) [ 0; 1; 2; 3 ];
+      let t = unwrap (Sl.create ~path sweep_meta) in
+      List.iter (fun i -> Sl.append t (sweep_case i)) [ 0; 1; 2; 3 ];
       Sl.close t;
       let intact = read_file path in
       (* Tear the tail mid-record, as a SIGKILL would. *)
@@ -205,22 +148,16 @@ let sweeplog_resume_self_heals () =
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd torn;
       Unix.close fd;
-      let t, survivors = unwrap (Sl.resume ~path meta) in
+      let t, survivors = unwrap (Sl.resume ~path sweep_meta) in
       check_int "survivors" 3 (List.length survivors);
       (* Re-appending the lost case must reproduce the intact bytes. *)
-      Sl.append t (case 3);
+      Sl.append t (sweep_case 3);
       Sl.close t;
       check_string "byte-identical after heal" intact (read_file path);
       (* A different sweep identity is refused. *)
-      match Sl.resume ~path { meta with Sl.fuzz_seed = 10L } with
+      match Sl.resume ~path { sweep_meta with Sl.fuzz_seed = 10L } with
       | Ok _ -> Alcotest.fail "resume accepted a mismatched meta"
-      | Error e ->
-          let has sub s =
-            let n = String.length sub and m = String.length s in
-            let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-            go 0
-          in
-          check_bool "mentions mismatch" true (has "mismatch" e))
+      | Error e -> check_bool "mentions mismatch" true (contains e "mismatch"))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep campaign                                                      *)

@@ -11,25 +11,9 @@ module Spool = D.Spool
 module Client = D.Client
 module Quota = D.Quota
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
+open Helpers
 let szc_exe = "../bin/szc.exe"
 let szcd_exe = "../bin/szcd.exe"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
 
 let deadline_in s = Unix.gettimeofday () +. s
 
@@ -523,11 +507,6 @@ let detach_then_reattach () =
 (* Ops plane: stats/watch verbs, status info, strict plane separation  *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let counter_at_least stats key n =
   match List.assoc_opt key stats.Protocol.s_counters with
   | Some v when v >= n -> ()
@@ -657,7 +636,7 @@ let stats_watch_and_status_info () =
       (* After the drain: the oplog strict-loads and tells the story,
          the exporter file is fresh valid Prometheus text. *)
       (match Stz_telemetry.Oplog.load (oplog_rel d.root) with
-      | Ok records ->
+      | Ok ((), records) ->
           check_bool "oplog has records" true (records <> []);
           let raw = read_file (oplog_rel d.root) in
           List.iter

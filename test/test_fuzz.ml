@@ -16,31 +16,7 @@ module Validate = Stz_vm.Validate
 module Fuzzer = Stabilizer.Fuzzer
 module Fl = Stz_store.Fuzzlog
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
-
-let unwrap = function Ok v -> v | Error e -> Alcotest.fail e
-
-let rec rm_rf path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
-
-let with_temp_dir f =
-  let path = Filename.temp_file "szc-fuzz-test" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+open Helpers
 
 let program_instrs p =
   Array.fold_left (fun acc f -> acc + Ir.func_instr_count f) 0 p.Ir.funcs
@@ -181,24 +157,6 @@ let planted_bug_caught () =
 (* Fuzz ledger                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let meta =
-  { Fl.version = 1; fuzz_seed = 5L; count = 6; rand_runs = 2; plant = "none" }
-
-let mk_case i verdict =
-  let failing = verdict = Fl.Fail in
-  {
-    Fl.index = i;
-    case_seed = Int64.of_int (1000 + i);
-    verdict;
-    oracle = (if failing then "divergence(O2)" else "");
-    detail = (if failing then "result 4 <> 8" else "ok");
-    repro = (if failing then Printf.sprintf "repro-%06d.szt" i else "");
-    repro_instrs = (if failing then 7 else 0);
-    shrink_steps = (if failing then 12 else 0);
-    result = 4;
-    cycles = 100 + i;
-  }
-
 let verdict_strings () =
   List.iter
     (fun v ->
@@ -209,62 +167,40 @@ let verdict_strings () =
 let fuzzlog_round_trip () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "fuzz.log" in
-      let t = unwrap (Fl.create ~path meta) in
-      let cases = [ mk_case 0 Fl.Clean; mk_case 1 Fl.Fail; mk_case 2 Fl.Trapped ] in
+      let t = unwrap (Fl.create ~path fuzz_meta) in
+      let cases = [ fuzz_case 0 Fl.Clean; fuzz_case 1 Fl.Fail; fuzz_case 2 Fl.Trapped ] in
       List.iter (Fl.append t) cases;
       Fl.close t;
       let m, cs = unwrap (Fl.load path) in
-      check_bool "meta survives" true (m = meta);
+      check_bool "meta survives" true (m = fuzz_meta);
       check_bool "cases survive" true (cs = cases))
 
 let fuzzlog_sanitizes_newlines () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "fuzz.log" in
-      let t = unwrap (Fl.create ~path meta) in
-      Fl.append t { (mk_case 0 Fl.Fail) with Fl.detail = "line1\nline2" };
+      let t = unwrap (Fl.create ~path fuzz_meta) in
+      Fl.append t { (fuzz_case 0 Fl.Fail) with Fl.detail = "line1\nline2" };
       Fl.close t;
       match unwrap (Fl.load path) with
       | _, [ c ] -> check_string "newline sanitized" "line1 line2" c.Fl.detail
       | _ -> Alcotest.fail "expected exactly one case")
 
-let fuzzlog_resume_heals_torn_tail () =
-  with_temp_dir (fun dir ->
-      let path = Filename.concat dir "fuzz.log" in
-      let t = unwrap (Fl.create ~path meta) in
-      let cases = List.init 5 (fun i -> mk_case i Fl.Clean) in
-      List.iter (Fl.append t) cases;
-      Fl.close t;
-      let intact = read_file path in
-      (* Chop mid-record, as a SIGKILL between write(2)s would. *)
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Unix.ftruncate fd (String.length intact - 9);
-      Unix.close fd;
-      (match unwrap (Fl.recover path) with
-      | _, cs, note ->
-          check_int "one record lost" 4 (List.length cs);
-          check_bool "salvage noted" true (note <> None));
-      let t, survivors = unwrap (Fl.resume ~path meta) in
-      check_int "resume reports the survivors" 4 (List.length survivors);
-      Fl.append t (mk_case 4 Fl.Clean);
-      Fl.close t;
-      check_string "byte-identical after heal" intact (read_file path))
-
 let fuzzlog_resume_refuses_foreign_meta () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "fuzz.log" in
-      let t = unwrap (Fl.create ~path meta) in
+      let t = unwrap (Fl.create ~path fuzz_meta) in
       Fl.close t;
-      match Fl.resume ~path { meta with Fl.fuzz_seed = 6L } with
+      match Fl.resume ~path { fuzz_meta with Fl.fuzz_seed = 6L } with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "resume accepted a mismatched meta")
 
 let fuzzlog_resume_drops_post_gap_records () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "fuzz.log" in
-      let t = unwrap (Fl.create ~path meta) in
-      List.iter (fun i -> Fl.append t (mk_case i Fl.Clean)) [ 0; 1; 3 ];
+      let t = unwrap (Fl.create ~path fuzz_meta) in
+      List.iter (fun i -> Fl.append t (fuzz_case i Fl.Clean)) [ 0; 1; 3 ];
       Fl.close t;
-      let t, survivors = unwrap (Fl.resume ~path meta) in
+      let t, survivors = unwrap (Fl.resume ~path fuzz_meta) in
       Fl.close t;
       check_int "only the contiguous prefix survives" 2 (List.length survivors);
       let _, cs = unwrap (Fl.load path) in
@@ -368,8 +304,6 @@ let () =
             fuzzlog_round_trip;
           Alcotest.test_case "newlines are sanitized" `Quick
             fuzzlog_sanitizes_newlines;
-          Alcotest.test_case "resume heals a torn tail byte-identically"
-            `Quick fuzzlog_resume_heals_torn_tail;
           Alcotest.test_case "resume refuses a foreign meta" `Quick
             fuzzlog_resume_refuses_foreign_meta;
           Alcotest.test_case "resume drops records after a gap" `Quick

@@ -12,9 +12,7 @@ module S = Stabilizer
 module F = Stz_faults.Fault
 module P = Stz_workloads.Profile
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
+open Helpers
 
 let with_temp f =
   let path = Filename.temp_file "stz-store" ".bin" in
@@ -24,12 +22,6 @@ let with_temp f =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ path; A.sum_path path; path ^ ".tmp"; path ^ ".corrupt" ])
     (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)
@@ -164,9 +156,7 @@ let sidecar_verifies () =
       check_string "payload verbatim" payload (read_file path);
       check_bool "verifies" true (A.verify_sum path = Ok true);
       (* Damage the payload behind the sidecar's back. *)
-      let oc = open_out_bin path in
-      output_string oc "run,seconds\n0,0.6\n";
-      close_out oc;
+      write_file path "run,seconds\n0,0.6\n";
       check_bool "mismatch detected" true
         (match A.verify_sum path with Error _ -> true | Ok _ -> false);
       (* No sidecar: nothing to verify. *)
@@ -252,9 +242,7 @@ let checkpoint_is_container () =
 let legacy_json_still_loads () =
   with_temp (fun path ->
       let c = campaign ~seed:5 F.light in
-      let oc = open_out_bin path in
-      output_string oc (S.Json.to_string (S.Supervisor.to_json c));
-      close_out oc;
+      write_file path (S.Json.to_string (S.Supervisor.to_json c));
       match S.Supervisor.load path with
       | Error e -> Alcotest.failf "legacy load: %s" e
       | Ok c' -> check_bool "legacy JSON round-trips" true (c = c'))
@@ -270,9 +258,7 @@ let checkpoint_truncation_fuzz () =
       let c = campaign ~seed:9 ~checkpoint:path F.light in
       let full = read_file path in
       for len = 0 to String.length full do
-        let oc = open_out_bin path in
-        output_string oc (String.sub full 0 len);
-        close_out oc;
+        write_file path (String.sub full 0 len);
         match S.Supervisor.recover path with
         | exception e ->
             Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
@@ -295,9 +281,7 @@ let checkpoint_bit_flip_fuzz () =
       for i = 0 to String.length full - 1 do
         let b = Bytes.of_string full in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        let oc = open_out_bin path in
-        output_string oc (Bytes.to_string b);
-        close_out oc;
+        write_file path (Bytes.to_string b);
         (match S.Supervisor.recover path with
         | exception e ->
             Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
@@ -423,7 +407,8 @@ let ledger_round_trip () =
         entries;
       (match Ledger.load path with
       | Error e -> Alcotest.failf "load: %s" e
-      | Ok got -> check_bool "entries round-trip bit-exactly" true (got = entries));
+      | Ok ((), got) ->
+          check_bool "entries round-trip bit-exactly" true (got = entries));
       (* Payload round-trip is exact even for awkward floats. *)
       let e =
         { (sample_entry 0) with Ledger.mean = 0.1; sd = Float.min_float }
@@ -438,77 +423,11 @@ let ledger_refuses_corrupt_append () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "append: %s" e);
       let full = read_file path in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full - 3));
-      close_out oc;
+      write_file path (String.sub full 0 (String.length full - 3));
       (* A damaged ledger must be repaired explicitly, never silently
          truncated by the next append. *)
       check_bool "append refuses a corrupt ledger" true
         (Result.is_error (Ledger.append path (sample_entry 1))))
-
-let ledger_truncation_fuzz () =
-  (* Cut the ledger at EVERY byte offset: [recover] must never raise
-     and must only ever salvage an entry prefix. *)
-  with_temp (fun path ->
-      let entries = List.init 4 sample_entry in
-      Ledger.write path entries;
-      let full = read_file path in
-      for len = 0 to String.length full do
-        let oc = open_out_bin path in
-        output_string oc (String.sub full 0 len);
-        close_out oc;
-        match Ledger.recover path with
-        | exception e ->
-            Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
-        | Error _ -> ()
-        | Ok (got, note) ->
-            check_bool (Printf.sprintf "truncate@%d: prefix" len) true
-              (is_prefix got entries);
-            (* A silent (un-noted) salvage is only acceptable when the
-               cut landed exactly on a record boundary — i.e. the
-               surviving bytes re-serialize to exactly the truncated
-               file, which is indistinguishable from a shorter ledger. *)
-            if len < String.length full && note = None then
-              check_string
-                (Printf.sprintf "truncate@%d: clean salvage is a boundary" len)
-                (String.sub full 0 len)
-                (A.container ~kind:Ledger.kind
-                   (List.map
-                      (fun e -> ("campaign", Ledger.entry_to_payload e))
-                      got))
-      done)
-
-let ledger_bit_flip_fuzz () =
-  (* Flip one bit at EVERY byte offset: [recover] never raises and
-     salvages only prefixes; strict [load] never accepts a changed
-     parse. *)
-  with_temp (fun path ->
-      let entries = List.init 3 sample_entry in
-      Ledger.write path entries;
-      let full = read_file path in
-      for i = 0 to String.length full - 1 do
-        let b = Bytes.of_string full in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        let oc = open_out_bin path in
-        output_string oc (Bytes.to_string b);
-        close_out oc;
-        (match Ledger.recover path with
-        | exception e ->
-            Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
-        | Error _ -> ()
-        | Ok (got, _) ->
-            check_bool (Printf.sprintf "flip@%d: prefix" i) true
-              (is_prefix got entries));
-        match Ledger.load path with
-        | exception e ->
-            Alcotest.failf "strict flip@%d raised %s" i (Printexc.to_string e)
-        | Ok got ->
-            (* Flips in cosmetic header whitespace cannot change the
-               parse; anywhere else the CRC catches them. *)
-            check_bool (Printf.sprintf "strict flip@%d equals original" i) true
-              (got = entries)
-        | Error _ -> ()
-      done)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon oplog on the artifact layer                                  *)
@@ -517,91 +436,22 @@ let ledger_bit_flip_fuzz () =
 module Oplog = Stz_telemetry.Oplog
 module Json = Stz_telemetry.Json
 
-let write_oplog path n =
-  match Oplog.create ~path () with
-  | Error e -> Alcotest.fail e
-  | Ok l ->
-      for i = 0 to n - 1 do
-        Oplog.event l ~ts_ms:(1_700_000_000_000 + i) ~ev:"fuzz.event"
-          [ ("i", Json.Int i); ("payload", Json.String (String.make 20 'x')) ]
-      done;
-      Oplog.close l
-
-let oplog_raw_records path =
-  match A.read_records path with
-  | Ok (_, records) -> records
-  | Error e -> Alcotest.failf "intact oplog unreadable: %s" e
-
-let oplog_truncation_fuzz () =
-  (* Cut the oplog at EVERY byte offset — the SIGKILL-mid-write
-     spectrum. [recover] must never raise and must salvage only record
-     prefixes, exactly like checkpoints and ledgers. *)
-  with_temp (fun path ->
-      write_oplog path 5;
-      let records = oplog_raw_records path in
-      let full = read_file path in
-      for len = 0 to String.length full do
-        let oc = open_out_bin path in
-        output_string oc (String.sub full 0 len);
-        close_out oc;
-        match Oplog.recover path with
-        | exception e ->
-            Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
-        | Error _ -> ()
-        | Ok (got, note) ->
-            check_bool (Printf.sprintf "truncate@%d: prefix" len) true
-              (is_prefix got records);
-            if len < String.length full && note = None then
-              check_string
-                (Printf.sprintf "truncate@%d: clean salvage is a boundary" len)
-                (String.sub full 0 len)
-                (A.container ~kind:Oplog.kind got)
-      done)
-
-let oplog_bit_flip_fuzz () =
-  (* Flip one bit at EVERY byte offset: [recover] never raises and
-     salvages only prefixes; strict [load] never accepts a changed
-     parse. *)
-  with_temp (fun path ->
-      write_oplog path 4;
-      let records = oplog_raw_records path in
-      let full = read_file path in
-      let intact =
-        match Oplog.load path with
-        | Ok r -> r
-        | Error e -> Alcotest.failf "intact load: %s" e
-      in
-      for i = 0 to String.length full - 1 do
-        let b = Bytes.of_string full in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        let oc = open_out_bin path in
-        output_string oc (Bytes.to_string b);
-        close_out oc;
-        (match Oplog.recover path with
-        | exception e ->
-            Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
-        | Error _ -> ()
-        | Ok (got, _) ->
-            check_bool (Printf.sprintf "flip@%d: prefix" i) true
-              (is_prefix got records));
-        match Oplog.load path with
-        | exception e ->
-            Alcotest.failf "strict flip@%d raised %s" i (Printexc.to_string e)
-        | Ok got ->
-            check_bool (Printf.sprintf "strict flip@%d equals original" i) true
-              (got = intact)
-        | Error _ -> ()
-      done)
+let oplog_record i =
+  Json.Obj
+    [
+      ("ts_ms", Json.Int (1_700_000_000_000 + i));
+      ("ev", Json.String "fuzz.event");
+      ("i", Json.Int i);
+      ("payload", Json.String (String.make 20 'x'));
+    ]
 
 let oplog_self_heal_appends_after_torn_tail () =
   (* The daemon's reopen path: truncate mid-record, reopen, append —
      the result must be a fully valid container again. *)
   with_temp (fun path ->
-      write_oplog path 5;
+      Oplog.rewrite path () (List.init 5 oplog_record);
       let full = read_file path in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full - 11));
-      close_out oc;
+      write_file path (String.sub full 0 (String.length full - 11));
       (match Oplog.create ~path () with
       | Error e -> Alcotest.failf "self-heal open: %s" e
       | Ok l ->
@@ -610,8 +460,123 @@ let oplog_self_heal_appends_after_torn_tail () =
           Oplog.close l);
       match Oplog.load path with
       | Error e -> Alcotest.failf "healed file not strictly valid: %s" e
-      | Ok records ->
+      | Ok ((), records) ->
           check_int "4 salvaged + 1 appended" 5 (List.length records))
+
+(* ------------------------------------------------------------------ *)
+(* The log discipline, every offset, every codec                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The every-offset contract of Stz_store.Log, for one codec: [sample]
+   is the uninterrupted log; [reopen] (incremental logs only) reopens a
+   cut file for appending and re-appends the items it lost. *)
+let log_props (type m i)
+    (module L : Stz_store.Log.FILE with type meta = m and type item = i)
+    ?reopen sample =
+  let full () =
+    let meta, items = Lazy.force sample in
+    with_temp (fun path ->
+        L.rewrite path meta items;
+        check_bool "intact file loads" true (L.load path = Ok (meta, items));
+        (meta, items, read_file path))
+  in
+  (* Truncate at every byte: [recover] never raises, salvages an item
+     prefix, and stays silent only when the cut is a record boundary. *)
+  let truncation () =
+    let meta, items, full = full () in
+    with_temp (fun path ->
+        with_temp (fun clean ->
+            for len = 0 to String.length full do
+              let cut = String.sub full 0 len in
+              write_file path cut;
+              match L.recover path with
+              | exception e ->
+                  Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
+              | Error _ -> ()
+              | Ok (m, got, note) ->
+                  check_bool (Printf.sprintf "truncate@%d: meta" len) true (m = meta);
+                  check_bool (Printf.sprintf "truncate@%d: prefix" len) true
+                    (is_prefix got items);
+                  if note = None then begin
+                    L.rewrite clean m got;
+                    check_string
+                      (Printf.sprintf "truncate@%d: silent only on a boundary" len)
+                      cut (read_file clean)
+                  end
+            done))
+  in
+  (* Flip one bit in every byte: [recover] never raises and salvages a
+     prefix; strict [load] never accepts a changed parse. *)
+  let bit_flip () =
+    let meta, items, full = full () in
+    with_temp (fun path ->
+        for i = 0 to String.length full - 1 do
+          let b = Bytes.of_string full in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (i mod 8))));
+          write_file path (Bytes.to_string b);
+          (match L.recover path with
+          | exception e -> Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
+          | Error _ -> ()
+          | Ok (_, got, _) ->
+              check_bool (Printf.sprintf "flip@%d: prefix" i) true
+                (is_prefix got items));
+          match L.load path with
+          | exception e ->
+              Alcotest.failf "strict flip@%d raised %s" i (Printexc.to_string e)
+          | Ok got ->
+              check_bool (Printf.sprintf "strict flip@%d equals original" i) true
+                (got = (meta, items))
+          | Error _ -> ()
+        done)
+  in
+  (* Resume at every truncation offset: every salvaged item survives,
+     and re-appending what was lost gives the uninterrupted bytes. *)
+  let resume reopen () =
+    let _, items, full = full () in
+    with_temp (fun path ->
+        for len = 0 to String.length full do
+          write_file path (String.sub full 0 len);
+          let salvaged =
+            match L.recover path with Ok (_, got, _) -> List.length got | Error _ -> 0
+          in
+          check_int (Printf.sprintf "resume@%d: survivors" len) salvaged
+            (reopen ~path items);
+          check_string (Printf.sprintf "resume@%d: byte-identical" len) full
+            (read_file path)
+        done)
+  in
+  let case name f = Alcotest.test_case name `Quick f in
+  [
+    case "truncation fuzz (every offset)" truncation;
+    case "bit-flip fuzz (every offset)" bit_flip;
+  ]
+  @ Option.fold reopen ~none:[] ~some:(fun r ->
+        [ case "resume at every offset" (resume r) ])
+
+(* Re-append the items a reopened log lost, close it, and return how
+   many survived. *)
+let re_append ~survivors append close items =
+  List.iteri (fun k x -> if k >= List.length survivors then append x) items;
+  close ();
+  List.length survivors
+
+let reopen (type m i)
+    (module L : Stz_store.Log.S with type meta = m and type item = i) meta ~path
+    items =
+  let t, survivors = unwrap (L.resume ~path meta) in
+  re_append ~survivors (L.append t) (fun () -> L.close t) items
+
+(* The daemon's reopen: self-heal, then log what was lost. *)
+let reopen_oplog ~path items =
+  let l = unwrap (Oplog.create ~path ()) in
+  let (), survivors = unwrap (Oplog.load path) in
+  re_append ~survivors (Oplog.log l) (fun () -> Oplog.close l) items
+
+let checkpoint_sample =
+  lazy
+    (with_temp (fun path ->
+         ignore (campaign ~seed:9 ~runs:6 ~checkpoint:path F.light);
+         unwrap (S.Supervisor.Checkpoint.load path)))
 
 let () =
   Alcotest.run "store"
@@ -657,18 +622,27 @@ let () =
           Alcotest.test_case "round-trip + sequence" `Quick ledger_round_trip;
           Alcotest.test_case "append refuses corruption" `Quick
             ledger_refuses_corrupt_append;
-          Alcotest.test_case "truncation fuzz (every offset)" `Quick
-            ledger_truncation_fuzz;
-          Alcotest.test_case "bit-flip fuzz (every offset)" `Quick
-            ledger_bit_flip_fuzz;
-        ] );
+        ]
+        @ log_props (module Ledger) (lazy ((), List.init 4 sample_entry)) );
       ( "oplog",
-        [
-          Alcotest.test_case "truncation fuzz (every offset)" `Quick
-            oplog_truncation_fuzz;
-          Alcotest.test_case "bit-flip fuzz (every offset)" `Quick
-            oplog_bit_flip_fuzz;
-          Alcotest.test_case "self-heal then append" `Quick
-            oplog_self_heal_appends_after_torn_tail;
-        ] );
+        log_props (module Oplog) ~reopen:reopen_oplog
+          (lazy ((), List.init 5 oplog_record))
+        @ [
+            Alcotest.test_case "self-heal then append" `Quick
+              oplog_self_heal_appends_after_torn_tail;
+          ] );
+      ( "fuzzlog",
+        log_props (module Fl) ~reopen:(reopen (module Fl) fuzz_meta)
+          (lazy
+            ( fuzz_meta,
+              List.init 5 (fun i ->
+                  fuzz_case i (if i = 2 then Fl.Fail else Fl.Clean)) )) );
+      ( "sweeplog",
+        log_props (module Sl) ~reopen:(reopen (module Sl) sweep_meta)
+          (lazy
+            ( sweep_meta,
+              List.init 4 (fun i -> { (sweep_case i) with Sl.detail = "ok" })
+            )) );
+      ( "checkpoint log",
+        log_props (module S.Supervisor.Checkpoint) checkpoint_sample );
     ]

@@ -14,9 +14,7 @@ module Metrics = T.Metrics
 module Trace = T.Trace
 module Export = T.Export
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
+open Helpers
 
 let raises_invalid f =
   match f () with
@@ -189,11 +187,6 @@ let jsonl_export () =
 module Ops = T.Ops
 module Oplog = T.Oplog
 
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let hist_layout_golden () =
   (* Unit buckets below 16. *)
   for v = 0 to 15 do
@@ -301,21 +294,6 @@ let ops_registry_snapshot () =
 (* Oplog: container discipline, self-healing reopen, rotation          *)
 (* ------------------------------------------------------------------ *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "stz-oplog-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 let oplog_event l i =
   Oplog.event l ~ts_ms:(1000 + i) ~ev:"test.event" [ ("i", T.Json.Int i) ]
 
@@ -331,7 +309,7 @@ let oplog_roundtrip_and_self_heal () =
           Oplog.close l);
       (match Oplog.load path with
       | Error e -> Alcotest.failf "fresh oplog unreadable: %s" e
-      | Ok records -> check_int "10 records" 10 (List.length records));
+      | Ok ((), records) -> check_int "10 records" 10 (List.length records));
       (* Reopen appends — records accumulate across generations of the
          daemon. *)
       (match Oplog.create ~path () with
@@ -341,7 +319,7 @@ let oplog_roundtrip_and_self_heal () =
           Oplog.close l);
       (match Oplog.load path with
       | Error e -> Alcotest.failf "reopened oplog unreadable: %s" e
-      | Ok records -> check_int "11 records" 11 (List.length records));
+      | Ok ((), records) -> check_int "11 records" 11 (List.length records));
       (* Tear the tail (simulate SIGKILL mid-write): reopening self-heals
          to the longest valid prefix and appends cleanly after it. *)
       let size = (Unix.stat path).Unix.st_size in
@@ -357,7 +335,7 @@ let oplog_roundtrip_and_self_heal () =
           Oplog.close l);
       match Oplog.load path with
       | Error e -> Alcotest.failf "healed oplog unreadable: %s" e
-      | Ok records ->
+      | Ok ((), records) ->
           check_int "torn record dropped, append went through" 11
             (List.length records))
 
@@ -380,7 +358,7 @@ let oplog_rotation () =
             (fun p ->
               if Sys.file_exists p then
                 match Oplog.load p with
-                | Ok records ->
+                | Ok ((), records) ->
                     check_bool (p ^ " non-empty") true (records <> [])
                 | Error e -> Alcotest.failf "%s unreadable: %s" p e)
             [ path; path ^ ".1"; path ^ ".2" ])
