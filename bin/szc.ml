@@ -889,22 +889,7 @@ let campaign_cmd =
         ?checkpoint ~resume ?telemetry ?monitor
         ~on_record:(fun r ->
           if not quiet then
-            Printf.printf "run %3d: %s%s\n%!" r.Stabilizer.Supervisor.run
-              (match r.Stabilizer.Supervisor.outcome with
-              | Stabilizer.Supervisor.Done d ->
-                  Printf.sprintf "%10d cycles (%.6f s)" d.Stabilizer.Supervisor.cycles
-                    d.Stabilizer.Supervisor.seconds
-              | Stabilizer.Supervisor.Trapped (cls, _) ->
-                  "censored: " ^ Stz_faults.Fault.class_to_string cls
-              | Stabilizer.Supervisor.Budget_exceeded _ ->
-                  "censored: budget-exceeded"
-              | Stabilizer.Supervisor.Invalid_result _ ->
-                  "censored: invalid-result"
-              | Stabilizer.Supervisor.Worker_lost -> "censored: worker-lost"
-              | Stabilizer.Supervisor.Worker_hung -> "censored: worker-hung")
-              (if r.Stabilizer.Supervisor.retries > 0 then
-                 Printf.sprintf "  (retries=%d)" r.Stabilizer.Supervisor.retries
-               else "");
+            Printf.printf "%s\n%!" (Stabilizer.Report.run_line r);
           (* Records are delivered in run order whatever --jobs is, and
              the monitor was updated just before this callback, so the
              status stream is byte-identical across worker counts. *)
@@ -951,9 +936,9 @@ let campaign_cmd =
               (Stz_monitor.Monitor.verdict_to_string
                  (Stz_monitor.Monitor.advise m))
         | _ -> ());
-        let* () =
+        let ledger_failed =
           match ledger with
-          | None -> Ok ()
+          | None -> None
           | Some path -> (
               let fp =
                 Stabilizer.History.fingerprint ~bench ~opt ~scale campaign
@@ -972,21 +957,22 @@ let campaign_cmd =
               match Stz_store.Ledger.append path entry with
               | Ok seq ->
                   Printf.printf "ledger: entry %d appended to %s\n" seq path;
-                  Ok ()
-              | Error e ->
-                  Error (`Msg (Printf.sprintf "ledger %s: %s" path e)))
+                  None
+              | Error e -> Some (Printf.sprintf "ledger %s: %s" path e))
         in
-        if summary.Stabilizer.Supervisor.completed = 0 then begin
-          Printf.eprintf "szc: campaign aborted: every run was censored\n";
-          Ok 3
-        end
-        else if summary.Stabilizer.Supervisor.completed < min_n then begin
-          Printf.printf
-            "no verdict possible: %d uncensored runs, need %d (exit 2)\n"
-            summary.Stabilizer.Supervisor.completed min_n;
-          Ok 2
-        end
-        else Ok 0
+        match ledger_failed with
+        | Some msg ->
+            Printf.eprintf "szc: campaign aborted: %s\n" msg;
+            Ok 3
+        | None when summary.Stabilizer.Supervisor.completed = 0 ->
+            Printf.eprintf "szc: campaign aborted: every run was censored\n";
+            Ok 3
+        | None when summary.Stabilizer.Supervisor.completed < min_n ->
+            Printf.printf
+              "no verdict possible: %d uncensored runs, need %d (exit 2)\n"
+              summary.Stabilizer.Supervisor.completed min_n;
+            Ok 2
+        | None -> Ok 0
   in
   let term =
     Term.(
@@ -1577,55 +1563,14 @@ let remote_submit_cmd =
 
 let remote_attach_cmd =
   let run socket deadline retry_seed tenant id from_run quiet =
-    let deadline = remote_deadline deadline in
-    let seed = Int64.of_int retry_seed in
-    let next_run = ref from_run in
-    let rec session attempt =
-      if Unix.gettimeofday () > deadline then Error "deadline exceeded"
-      else
-        match Stz_daemon.Client.connect ~socket ~deadline ~seed () with
-        | Error e -> Error e
-        | Ok t -> (
-            let retry _reason =
-              Stz_daemon.Client.close t;
-              Unix.sleepf 0.2;
-              session (attempt + 1)
-            in
-            match
-              Stz_daemon.Client.send t
-                (Stz_daemon.Protocol.Stream { tenant; id; from_run = !next_run })
-            with
-            | Error e -> retry e
-            | Ok () ->
-                let rec follow () =
-                  match Stz_daemon.Client.read_response t ~deadline with
-                  | Error e -> retry e
-                  | Ok (Stz_daemon.Protocol.Progress { run; line }) ->
-                      if run >= !next_run then begin
-                        if not quiet then Printf.printf "%s\n%!" line;
-                        next_run := run + 1
-                      end;
-                      follow ()
-                  | Ok (Stz_daemon.Protocol.Summary { exit_code; line }) ->
-                      Stz_daemon.Client.close t;
-                      Printf.printf "%s\n" line;
-                      Ok exit_code
-                  | Ok Stz_daemon.Protocol.Cancelled ->
-                      Stz_daemon.Client.close t;
-                      Printf.printf "campaign cancelled\n";
-                      Ok 1
-                  | Ok (Stz_daemon.Protocol.Rejected { reason }) ->
-                      Stz_daemon.Client.close t;
-                      Error reason
-                  | Ok (Stz_daemon.Protocol.Error_frame msg) ->
-                      Stz_daemon.Client.close t;
-                      Error ("protocol error: " ^ msg)
-                  | Ok _ -> follow ()
-                in
-                follow ())
-    in
-    match session 0 with
-    | Ok code -> code
+    match
+      Stz_daemon.Client.attach ~socket ~deadline:(remote_deadline deadline)
+        ~seed:(Int64.of_int retry_seed) ~tenant ~id ~from_run
+        ~progress:(fun _ line -> if not quiet then Printf.printf "%s\n%!" line)
+    with
+    | Ok (exit_code, line) ->
+        Printf.printf "%s\n" line;
+        exit_code
     | Error e ->
         Printf.eprintf "szc remote attach: %s\n" e;
         1

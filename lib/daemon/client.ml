@@ -1,9 +1,8 @@
+module Artifact = Stz_store.Artifact
+
 type t = { fd : Unix.file_descr; dec : Wire.decoder }
 
 let ( let* ) = Result.bind
-
-let rec restart_on_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -29,25 +28,12 @@ let connect ~socket ~deadline ~seed () =
       Error (Printf.sprintf "deadline exceeded connecting to %s" socket)
     else
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match restart_on_eintr (fun () -> Unix.connect fd (Unix.ADDR_UNIX socket)) with
-      | () -> (
-          match
-            let greeting = Wire.greeting in
-            let rec write_all off =
-              if off < String.length greeting then
-                write_all
-                  (off
-                  + restart_on_eintr (fun () ->
-                        Unix.write_substring fd greeting off
-                          (String.length greeting - off)))
-            in
-            write_all 0
-          with
-          | () -> Ok { fd; dec = Wire.create ~expect_greeting:true }
-          | exception Unix.Unix_error (e, _, _) when transient e ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Unix.sleepf (backoff_delay ~seed ~attempt:k);
-              attempt (k + 1))
+      match
+        Artifact.restart_on_eintr (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket));
+        Artifact.write_exact fd Wire.greeting
+      with
+      | () -> Ok { fd; dec = Wire.create ~expect_greeting:true }
       | exception Unix.Unix_error (e, _, _) when transient e ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Unix.sleepf (backoff_delay ~seed ~attempt:k);
@@ -61,19 +47,10 @@ let connect ~socket ~deadline ~seed () =
   attempt 0
 
 let send t req =
-  let bytes = Protocol.request_to_frame req in
-  let len = String.length bytes in
-  let rec go off =
-    if off >= len then Ok ()
-    else
-      match
-        restart_on_eintr (fun () -> Unix.write_substring t.fd bytes off (len - off))
-      with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (e, _, _) ->
-          Error ("send failed: " ^ Unix.error_message e)
-  in
-  go 0
+  match Artifact.write_exact t.fd (Protocol.request_to_frame req) with
+  | () -> Ok ()
+  | exception Unix.Unix_error (e, _, _) ->
+      Error ("send failed: " ^ Unix.error_message e)
 
 let read_response t ~deadline =
   let buf = Bytes.create 65536 in
@@ -87,12 +64,14 @@ let read_response t ~deadline =
         if remaining <= 0.0 then Error "deadline exceeded waiting for daemon"
         else
           match
-            restart_on_eintr (fun () -> Unix.select [ t.fd ] [] [] remaining)
+            Artifact.restart_on_eintr (fun () ->
+                Unix.select [ t.fd ] [] [] remaining)
           with
           | [], _, _ -> Error "deadline exceeded waiting for daemon"
           | _ -> (
               match
-                restart_on_eintr (fun () -> Unix.read t.fd buf 0 (Bytes.length buf))
+                Artifact.restart_on_eintr (fun () ->
+                    Unix.read t.fd buf 0 (Bytes.length buf))
               with
               | 0 -> Error "daemon closed the connection"
               | n ->
@@ -107,18 +86,18 @@ let rpc t ~deadline req =
   let* () = send t req in
   read_response t ~deadline
 
-let submit_and_wait ~socket ~deadline ~seed ~tenant ~id ~spec ~progress =
-  (* [next_run] makes the feed exactly-once across reconnects: every
-     re-attach streams from the first run we have not yet seen. *)
-  let next_run = ref 0 in
+(* The one stream-follow loop. Each session connects, runs [opening]
+   (the submit, for [submit_and_wait]), then streams from the first run
+   not yet seen — which makes [progress] exactly-once across
+   reconnects — until the campaign's end. A dropped connection, or an
+   opening that answers [`Retry], costs the backoff-with-jitter delay
+   and a new session. A cancelled campaign ends as the daemon records
+   it: exit 1, "campaign cancelled". *)
+let follow ~socket ~deadline ~seed ~tenant ~id ~from_run ~progress opening =
+  let next_run = ref from_run in
   let rec session k =
     if Unix.gettimeofday () > deadline then Error "deadline exceeded"
     else
-      let retry reason =
-        Unix.sleepf (backoff_delay ~seed ~attempt:k);
-        ignore reason;
-        session (k + 1)
-      in
       match connect ~socket ~deadline ~seed:(Int64.add seed 0x5e55L) () with
       | Error e -> Error e
       | Ok t -> (
@@ -126,43 +105,52 @@ let submit_and_wait ~socket ~deadline ~seed ~tenant ~id ~spec ~progress =
             close t;
             r
           in
-          match rpc t ~deadline (Protocol.Submit { tenant; id; spec }) with
-          | Error e -> finish () |> fun () -> retry e
-          | Ok (Protocol.Rejected { reason })
-            when reason = "daemon is draining" ->
-              (* The daemon is going down; a successor will pick the
-                 spool up. Keep trying until the deadline. *)
-              finish () |> fun () -> retry reason
-          | Ok (Protocol.Rejected { reason }) ->
-              finish (Error ("rejected: " ^ reason))
-          | Ok (Protocol.Accepted _) -> (
+          let retry () =
+            close t;
+            Unix.sleepf (backoff_delay ~seed ~attempt:k);
+            session (k + 1)
+          in
+          let rec stream () =
+            match read_response t ~deadline with
+            | Error _ -> retry ()
+            | Ok (Protocol.Progress { run; line }) ->
+                if run >= !next_run then begin
+                  progress run line;
+                  next_run := run + 1
+                end;
+                stream ()
+            | Ok (Protocol.Summary { exit_code; line }) ->
+                finish (Ok (exit_code, line))
+            | Ok Protocol.Cancelled -> finish (Ok (1, "campaign cancelled"))
+            | Ok (Protocol.Rejected { reason }) -> finish (Error reason)
+            | Ok (Protocol.Error_frame msg) ->
+                finish (Error ("protocol error: " ^ msg))
+            | Ok _ -> stream ()
+          in
+          match opening t with
+          | `Retry -> retry ()
+          | `Fail e -> finish (Error e)
+          | `Stream -> (
               match
                 send t (Protocol.Stream { tenant; id; from_run = !next_run })
               with
-              | Error e -> finish () |> fun () -> retry e
-              | Ok () ->
-                  let rec follow () =
-                    match read_response t ~deadline with
-                    | Error e -> finish () |> fun () -> retry e
-                    | Ok (Protocol.Progress { run; line }) ->
-                        if run >= !next_run then begin
-                          progress run line;
-                          next_run := run + 1
-                        end;
-                        follow ()
-                    | Ok (Protocol.Summary { exit_code; line }) ->
-                        finish (Ok (exit_code, line))
-                    | Ok Protocol.Cancelled ->
-                        finish (Error "campaign was cancelled")
-                    | Ok (Protocol.Rejected { reason }) ->
-                        finish (Error ("rejected: " ^ reason))
-                    | Ok (Protocol.Error_frame msg) ->
-                        finish (Error ("protocol error: " ^ msg))
-                    | Ok _ -> follow ()
-                  in
-                  follow ())
-          | Ok (Protocol.Error_frame msg) ->
-              finish (Error ("protocol error: " ^ msg))
-          | Ok _ -> finish () |> fun () -> retry "unexpected reply")
+              | Error _ -> retry ()
+              | Ok () -> stream ()))
   in
   session 0
+
+let submit_and_wait ~socket ~deadline ~seed ~tenant ~id ~spec ~progress =
+  follow ~socket ~deadline ~seed ~tenant ~id ~from_run:0 ~progress (fun t ->
+      match rpc t ~deadline (Protocol.Submit { tenant; id; spec }) with
+      | Ok (Protocol.Accepted _) -> `Stream
+      | Ok (Protocol.Rejected { reason }) when reason = "daemon is draining" ->
+          (* The daemon is going down; a successor will pick the spool
+             up. Keep trying until the deadline. *)
+          `Retry
+      | Ok (Protocol.Rejected { reason }) -> `Fail ("rejected: " ^ reason)
+      | Ok (Protocol.Error_frame msg) -> `Fail ("protocol error: " ^ msg)
+      | Ok _ | Error _ -> `Retry)
+
+let attach ~socket ~deadline ~seed ~tenant ~id ~from_run ~progress =
+  follow ~socket ~deadline ~seed ~tenant ~id ~from_run ~progress (fun _ ->
+      `Stream)

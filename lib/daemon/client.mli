@@ -34,11 +34,9 @@ val rpc :
 
 (** Submit a campaign and follow it to completion: connect, submit
     (idempotent — a resubmit of the same spec attaches to the existing
-    campaign), stream progress, and on any transport failure (daemon
-    killed, connection reset) reconnect with backoff and re-attach from
-    the first run not yet seen. Returns the campaign's exit code and
-    summary line. [progress] observes each run line exactly once, in
-    run order, across reconnects. *)
+    campaign), then follow it as {!attach} does from run 0. A submit
+    rejected because the daemon is draining is retried like a dropped
+    connection; any other rejection is an [Error]. *)
 val submit_and_wait :
   socket:string ->
   deadline:float ->
@@ -46,5 +44,24 @@ val submit_and_wait :
   tenant:string ->
   id:string ->
   spec:Spool.spec ->
+  progress:(int -> string -> unit) ->
+  (int * string, string) result
+
+(** [attach ~from_run] follows an existing campaign: stream progress
+    from run [from_run], and on any transport failure (daemon killed,
+    connection reset) wait {!connect}'s backoff-with-jitter delay,
+    reconnect and re-attach from the first run not yet seen.
+    [progress] observes each run line from [from_run] on exactly once,
+    in run order, across reconnects. Returns the campaign's exit code
+    and summary line — [(1, "campaign cancelled")] for a cancelled
+    campaign, as the daemon records it — or [Error] with the daemon's
+    rejection (e.g. an unknown campaign). *)
+val attach :
+  socket:string ->
+  deadline:float ->
+  seed:int64 ->
+  tenant:string ->
+  id:string ->
+  from_run:int ->
   progress:(int -> string -> unit) ->
   (int * string, string) result

@@ -1,6 +1,7 @@
 module Ops = Stz_telemetry.Ops
 module Oplog = Stz_telemetry.Oplog
 module Json = Stz_telemetry.Json
+module Artifact = Stz_store.Artifact
 
 type config = {
   socket : string;
@@ -127,7 +128,7 @@ let read_last_drain st =
 let write_last_drain st =
   let stamp = iso8601 (Unix.gettimeofday ()) in
   st.last_drain <- Some stamp;
-  try Stz_store.Artifact.write_file (last_drain_path st) (stamp ^ "\n")
+  try Artifact.write_file (last_drain_path st) (stamp ^ "\n")
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* Gauges that mirror live structures; refreshed before every snapshot
@@ -157,7 +158,7 @@ let export_ops st =
   | None -> ()
   | Some path -> (
       refresh_gauges st;
-      try Stz_store.Artifact.write_file path (Ops.to_prometheus st.ops)
+      try Artifact.write_file path (Ops.to_prometheus st.ops)
       with Sys_error _ | Unix.Unix_error _ -> ())
 
 let log_line st fmt =
@@ -170,9 +171,6 @@ let key_of ~tenant ~id = tenant ^ "/" ^ id
 (* ---------------------------------------------------------------- *)
 (* Client IO                                                         *)
 (* ---------------------------------------------------------------- *)
-
-let rec restart_on_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
 
 let detach st c =
   if c.alive then begin
@@ -322,6 +320,23 @@ let spawn_runner st ~tenant ~id ~dir ~spec ~resume ~disarm_storage ~restarts =
       log_line st "spawned runner pid %d for %s (resume=%b)" pid key resume;
       Ok r
 
+(* The one way back into an interrupted campaign: repair its spool
+   directory, then respawn its runner on the checkpoint with storage
+   faults disarmed (the fault stream's position is lost). The caller
+   holds the campaign's quota reservation; a failed spawn releases
+   it. *)
+let repair_and_respawn st ~tenant ~id ~dir ~spec ~restarts =
+  let repairs = Spool.repair ~dir in
+  Ops.incr st.ops ~by:(List.length repairs) "spool.repair";
+  List.iter (fun n -> log_line st "repair: %s" n) repairs;
+  let r =
+    spawn_runner st ~tenant ~id ~dir ~spec ~resume:true ~disarm_storage:true
+      ~restarts
+  in
+  if Result.is_error r then
+    Quota.release st.quota ~tenant ~runs:spec.Spool.runs;
+  r
+
 let find_runner st key = List.find_opt (fun r -> r.key = key) st.runners
 
 (* Bounded memory of finished campaigns: evict oldest-first once over
@@ -367,7 +382,7 @@ let abort_campaign st r line =
 (* EOF on the event pipe: the runner exited. Decide what that means. *)
 let reap_runner st r =
   let status =
-    match restart_on_eintr (fun () -> Unix.waitpid [] r.pid) with
+    match Artifact.restart_on_eintr (fun () -> Unix.waitpid [] r.pid) with
     | _, s -> Some s
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
   in
@@ -430,19 +445,15 @@ let reap_runner st r =
            never drops it. Force the reservation so the release above
            stays balanced and the budget reflects real in-flight work. *)
         Quota.readmit st.quota ~tenant:r.tenant ~runs:r.r_spec.Spool.runs;
-        let repairs = Spool.repair ~dir:r.r_dir in
-        Ops.incr st.ops ~by:(List.length repairs) "spool.repair";
         match
-          spawn_runner st ~tenant:r.tenant ~id:r.id ~dir:r.r_dir
-            ~spec:r.r_spec ~resume:true ~disarm_storage:true
-            ~restarts:(r.restarts + 1)
+          repair_and_respawn st ~tenant:r.tenant ~id:r.id ~dir:r.r_dir
+            ~spec:r.r_spec ~restarts:(r.restarts + 1)
         with
         | Ok nr ->
             nr.completed <- r.completed;
             nr.log <- r.log;
             nr.log_len <- r.log_len
         | Error e ->
-            Quota.release st.quota ~tenant:r.tenant ~runs:r.r_spec.Spool.runs;
             log_line st "%s restart failed (%s)" r.key e;
             abort_campaign st r ("campaign aborted: cannot respawn runner: " ^ e)
       end
@@ -646,17 +657,9 @@ let resume_interrupted st ~tenant ~id ~dir ~spec =
   | Error (why, reason) -> reject_admission st ~tenant why reason
   | Ok () -> (
       Ops.incr st.ops "admit.ok";
-      let repairs = Spool.repair ~dir in
-      Ops.incr st.ops ~by:(List.length repairs) "spool.repair";
-      List.iter (fun n -> log_line st "repair: %s" n) repairs;
-      match
-        spawn_runner st ~tenant ~id ~dir ~spec ~resume:true
-          ~disarm_storage:true ~restarts:0
-      with
+      match repair_and_respawn st ~tenant ~id ~dir ~spec ~restarts:0 with
       | Ok _ -> Protocol.Accepted { id; state = "resumed" }
-      | Error e ->
-          Quota.release st.quota ~tenant ~runs:spec.Spool.runs;
-          Protocol.Rejected { reason = "cannot spawn runner: " ^ e })
+      | Error e -> Protocol.Rejected { reason = "cannot spawn runner: " ^ e })
 
 let handle_submit st ~tenant ~id ~spec =
   if st.draining then Protocol.Rejected { reason = "daemon is draining" }
@@ -816,7 +819,10 @@ let watch_pass st =
 
 let handle_client_bytes st c =
   let buf = Bytes.create 65536 in
-  match restart_on_eintr (fun () -> Unix.read c.c_fd buf 0 (Bytes.length buf)) with
+  match
+    Artifact.restart_on_eintr (fun () ->
+        Unix.read c.c_fd buf 0 (Bytes.length buf))
+  with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       (* Spurious wakeup on the non-blocking socket; nothing to do. *)
       ()
@@ -874,25 +880,19 @@ let recover_spool st =
       | None ->
           kill_stale_runner st e.Spool.entry_dir;
           Ops.incr st.ops "spool.recovered";
-          let repairs = Spool.repair ~dir:e.Spool.entry_dir in
-          Ops.incr st.ops ~by:(List.length repairs) "spool.repair";
-          List.iter (fun n -> log_line st "repair: %s" n) repairs;
           (* The admission promise was made before the crash; a restart
              never drops it — force the reservation so the eventual
              release stays balanced. *)
           Quota.readmit st.quota ~tenant:e.Spool.tenant
             ~runs:e.Spool.spec.Spool.runs;
           match
-            spawn_runner st ~tenant:e.Spool.tenant ~id:e.Spool.id
-              ~dir:e.Spool.entry_dir ~spec:e.Spool.spec ~resume:true
-              ~disarm_storage:true ~restarts:0
+            repair_and_respawn st ~tenant:e.Spool.tenant ~id:e.Spool.id
+              ~dir:e.Spool.entry_dir ~spec:e.Spool.spec ~restarts:0
           with
           | Ok _ -> ()
           | Error err ->
               (* Leave the campaign interrupted in the spool: the next
                  daemon start (or an idempotent resubmit) retries it. *)
-              Quota.release st.quota ~tenant:e.Spool.tenant
-                ~runs:e.Spool.spec.Spool.runs;
               Printf.eprintf "szcd: spool: cannot resume %s: %s\n%!"
                 e.Spool.entry_dir err)
     entries
@@ -934,7 +934,7 @@ let run cfg =
     }
   in
   match
-    Stz_store.Artifact.mkdir_p cfg.spool;
+    Artifact.mkdir_p cfg.spool;
     Sys.is_directory cfg.spool
   with
   | false | (exception Sys_error _) | (exception Unix.Unix_error _) ->
@@ -1028,7 +1028,9 @@ let run cfg =
               List.iter
                 (fun fd_ready ->
                   if Some fd_ready = st.listen_fd then (
-                    match restart_on_eintr (fun () -> Unix.accept fd_ready) with
+                    match
+                      Artifact.restart_on_eintr (fun () -> Unix.accept fd_ready)
+                    with
                     | exception Unix.Unix_error _ -> ()
                     | cfd, _ ->
                         (* Non-blocking: a wedged client can never

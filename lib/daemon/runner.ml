@@ -13,55 +13,17 @@ let exit_finished = 0
 let exit_stopped = 10
 let exit_orphaned = 11
 
-(* ------------------------------------------------------------------ *)
-(* Pipe IO: Marshal values written with one write(2) each — far below  *)
-(* PIPE_BUF, so they are atomic and a reader woken by select can       *)
-(* block-read the rest of the message without stalling.                *)
-(* ------------------------------------------------------------------ *)
-
-let rec restart_on_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
-
-let write_value fd v =
-  let s = Marshal.to_bytes v [] in
-  let rec go off =
-    if off < Bytes.length s then
-      let n = restart_on_eintr (fun () -> Unix.write fd s off (Bytes.length s - off)) in
-      if n = 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""))
-      else go (off + n)
-  in
-  go 0
-
-let read_exactly fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off >= len then Some buf
-    else
-      match restart_on_eintr (fun () -> Unix.read fd buf off (len - off)) with
-      | 0 -> None
-      | n -> go (off + n)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-        ->
-          None
-  in
-  go 0
-
-let read_value fd =
-  match read_exactly fd Marshal.header_size with
-  | None -> None
-  | Some header -> (
-      match read_exactly fd (Marshal.data_size header 0) with
-      | None -> None
-      | Some data ->
-          Some (Marshal.from_bytes (Bytes.cat header data) 0))
+(* Both pipes speak Parallel's frame: one Marshal value per message,
+   far below PIPE_BUF, so each is one atomic write and a reader woken
+   by select can block-read the rest of it. *)
 
 let send_grant fd (g : grant) =
   try
-    write_value fd g;
+    S.Parallel.send fd g;
     true
   with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> false
 
-let read_event fd : event option = read_value fd
+let read_event fd : event option = S.Parallel.recv fd
 
 (* ------------------------------------------------------------------ *)
 (* Campaign execution                                                  *)
@@ -70,34 +32,17 @@ let read_event fd : event option = read_value fd
 exception Stopped
 exception Orphaned
 
-(* Identical to the szc campaign per-run progress line. *)
-let progress_line (r : S.Supervisor.record) =
-  Printf.sprintf "run %3d: %s%s" r.S.Supervisor.run
-    (match r.S.Supervisor.outcome with
-    | S.Supervisor.Done d ->
-        Printf.sprintf "%10d cycles (%.6f s)" d.S.Supervisor.cycles
-          d.S.Supervisor.seconds
-    | S.Supervisor.Trapped (cls, _) ->
-        "censored: " ^ Stz_faults.Fault.class_to_string cls
-    | S.Supervisor.Budget_exceeded _ -> "censored: budget-exceeded"
-    | S.Supervisor.Invalid_result _ -> "censored: invalid-result"
-    | S.Supervisor.Worker_lost -> "censored: worker-lost"
-    | S.Supervisor.Worker_hung -> "censored: worker-hung")
-    (if r.S.Supervisor.retries > 0 then
-       Printf.sprintf "  (retries=%d)" r.S.Supervisor.retries
-     else "")
-
 let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* The daemon dying must not orphan the runner into a default SIGTERM
      death mid-write; drain arrives as a Stop grant instead. *)
   let send_event (e : event) =
-    try write_value event_w e
+    try S.Parallel.send event_w e
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> ()
   in
   let acquire wanted =
     send_event (Want wanted);
-    match (read_value grant_r : grant option) with
+    match (S.Parallel.recv grant_r : grant option) with
     | Some (Grant n) -> n
     | Some Stop -> raise Stopped
     | None -> raise Orphaned
@@ -163,7 +108,8 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
       ~checkpoint:(Spool.checkpoint_path dir) ~resume ?telemetry ?monitor
       ~dispatch
       ~on_record:(fun r ->
-        send_event (Progress { run = r.S.Supervisor.run; line = progress_line r }))
+        send_event
+          (Progress { run = r.S.Supervisor.run; line = S.Report.run_line r }))
       ~config ~opt
       ~base_seed:(Int64.of_int spec.Spool.seed)
       ~runs:spec.Spool.runs ~args:Stz_workloads.Generate.default_args program
@@ -185,7 +131,6 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
       | _ -> ());
       Artifact.write_with_sum (Spool.csv_path dir)
         (S.Report.csv_of_campaign campaign);
-      let line = S.Report.campaign_line summary in
       let ledger_failed =
         if not spec.Spool.ledger then None
         else
@@ -208,19 +153,16 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
           | Ok _ -> None
           | Error e -> Some e
       in
-      let exit_code =
-        match ledger_failed with
-        | Some e ->
-            ignore e;
-            3
-        | None ->
+      match ledger_failed with
+      | Some e ->
+          finish (Spool.Finished 3) 3
+            (Printf.sprintf "campaign aborted: ledger %s: %s"
+               (Spool.ledger_path dir) e)
+      | None ->
+          let exit_code =
             if summary.S.Supervisor.completed = 0 then 3
             else if summary.S.Supervisor.completed < spec.Spool.min_n then 2
             else 0
-      in
-      let line =
-        match ledger_failed with
-        | Some e -> Printf.sprintf "ledger append failed: %s" e
-        | None -> line
-      in
-      finish (Spool.Finished exit_code) exit_code line
+          in
+          finish (Spool.Finished exit_code) exit_code
+            (S.Report.campaign_line summary)

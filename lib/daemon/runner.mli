@@ -6,9 +6,9 @@
     runner's {!Stabilizer.Parallel.batched} dispatcher asks for credits
     over the event pipe ({!Want}) and blocks until a {!Grant} arrives,
     so the daemon's deficit-round-robin scheduler decides every batch
-    size. Batch partitioning is unobservable in the artifacts (results
-    are merged in run order downstream), which is the determinism
-    invariant the whole daemon rests on.
+    size. Batch partitioning is unobservable in the artifacts
+    ({!Stabilizer.Parallel} reports results in run order), which is the
+    determinism invariant the whole daemon rests on.
 
     Degradation contract: a [Stop] grant (drain or cancel) makes the
     runner exit {!exit_stopped} at the next batch boundary with the
@@ -18,8 +18,9 @@
     restarted daemon sees the campaign as interrupted and resumes
     it. *)
 
-(** Runner → daemon, over the event pipe. Writes are single
-    [Unix.write]s well under [PIPE_BUF], hence atomic. *)
+(** Runner → daemon, over the event pipe. Both pipes carry
+    {!Stabilizer.Parallel.send}/{!Stabilizer.Parallel.recv} messages,
+    each one [Unix.write] well under [PIPE_BUF], hence atomic. *)
 type event =
   | Want of int  (** blocked at a batch boundary, wants up to [n] slots *)
   | Freed of int  (** a batch finished; its slots are free again *)

@@ -491,10 +491,7 @@ let evaluate ?(rand_runs = 2) ?(shrink_budget = 2000) ~fuzz_seed ~index () =
         run_p ~limits:!shrink_limits ~config ~seed:rseed prog ~args
       in
       match probe with
-      | P_compile lvl -> (
-          match compile lvl cand with
-          | Error _ -> true
-          | Ok out -> Validate.check_program out <> [])
+      | P_compile lvl -> Result.is_error (compile lvl cand)
       | P_determinism -> (
           match compile Opt.O0 cand with
           | Error _ -> false
@@ -611,12 +608,6 @@ let evaluate ?(rand_runs = 2) ?(shrink_budget = 2000) ~fuzz_seed ~index () =
                 | Error msg ->
                     fire (P_compile lvl) "compile" (name ^ ": " ^ msg) result0
                 | Ok ol -> (
-                    (match Validate.check_program ol with
-                    | [] -> ()
-                    | { Validate.where; what } :: _ ->
-                        fire (P_compile lvl) "validate"
-                          (Printf.sprintf "%s: %s: %s" name where what)
-                          result0);
                     match run_p ~config:Config.baseline ~seed ol ~args with
                     | Error trap ->
                         fire (P_divergence lvl) "divergence"

@@ -1,6 +1,6 @@
 (* One indexed-job driver: resume the ledger, Parallel.map the missing
-   indices under the watchdog, censor Lost/Hung, and flush in strict
-   index order with each reproducer written before its record. *)
+   indices under the watchdog, censor Lost/Hung, and record each index
+   as Parallel reports it (task order), reproducer before record. *)
 
 let run (type m i)
     (module L : Stz_store.Log.S with type meta = m and type item = i) ~out_dir
@@ -23,36 +23,25 @@ let run (type m i)
   if resume && start > 0 then
     log
       (Printf.sprintf "resuming: %d/%d cases already in the ledger" start count);
-  let pending = Array.make remaining None in
-  let next = ref 0 and fresh = ref [] in
-  let flush () =
-    while !next < remaining && Option.is_some pending.(!next) do
-      let item, repro, censored = Option.get pending.(!next) in
-      Option.iter
-        (fun (name, text) ->
-          Stz_store.Artifact.write_with_sum (Filename.concat out_dir name) text)
-        repro;
-      L.append lg item;
-      fresh := item :: !fresh;
-      Option.iter
-        (fun detail ->
-          log (Printf.sprintf "censored case %d: %s" (start + !next) detail))
-        censored;
-      report item;
-      incr next
-    done
-  in
+  let fresh = ref [] in
   let on_result i r =
     let censored ~hung detail =
-      (censor (start + i) ~hung detail, None, Some detail)
+      log (Printf.sprintf "censored case %d: %s" (start + i) detail);
+      (censor (start + i) ~hung detail, None)
     in
-    pending.(i) <-
-      Some
-        (match r with
-        | Parallel.Value (item, repro) -> (item, repro, None)
-        | Parallel.Lost -> censored ~hung:false "worker died mid-case"
-        | Parallel.Hung -> censored ~hung:true "watchdog killed a hung worker");
-    flush ()
+    let item, repro =
+      match r with
+      | Parallel.Value (item, repro) -> (item, repro)
+      | Parallel.Lost -> censored ~hung:false "worker died mid-case"
+      | Parallel.Hung -> censored ~hung:true "watchdog killed a hung worker"
+    in
+    Option.iter
+      (fun (name, text) ->
+        Stz_store.Artifact.write_with_sum (Filename.concat out_dir name) text)
+      repro;
+    L.append lg item;
+    fresh := item :: !fresh;
+    report item
   in
   if remaining > 0 then
     ignore

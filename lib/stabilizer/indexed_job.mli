@@ -6,13 +6,13 @@
     when [resume], else a fresh {!Stz_store.Log.S.create}), and runs
     [eval] over the indices the ledger lacks through {!Parallel.map}
     under the [watchdog]. A worker that dies or hangs costs exactly its
-    index, recorded as [censor index ~hung detail] and logged. Results
-    are buffered and flushed in strict index order — each reproducer
-    [(file name, bytes)] is written (with its [.sum] sidecar) before
-    the record that names it, then the item is appended and passed to
-    [report] — so the ledger and reproducer bytes never depend on
-    [jobs], and a SIGKILL always leaves a contiguous, resumable
-    prefix. Returns every item, surviving ones first. [Error] only for
+    index, recorded as [censor index ~hung detail] and logged. Each
+    index is recorded as {!Parallel.map} reports it, in index order —
+    its reproducer [(file name, bytes)] is written (with its [.sum]
+    sidecar) before the record that names it, then the item is
+    appended and passed to [report] — so the ledger and reproducer
+    bytes never depend on [jobs], and a SIGKILL always leaves a
+    contiguous, resumable prefix. Returns every item, surviving ones first. [Error] only for
     an unusable [out_dir] or a ledger that cannot be opened or resumed
     (e.g. a different meta). *)
 val run :

@@ -1,3 +1,5 @@
+module Artifact = Stz_store.Artifact
+
 type 'a result = Value of 'a | Lost | Hung
 
 type pool_event =
@@ -24,9 +26,6 @@ type worker = {
    at the clock. Also bounds how stale [last_beat] comparisons can be. *)
 let tick = 0.25
 
-let rec restart_on_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
-
 (* select(2) with EINTR restart that preserves the original deadline: a
    signal landing mid-wait must neither surface as [Unix_error] (which
    would abort the pool and censor healthy stripes) nor stretch the
@@ -41,20 +40,23 @@ let select_intr read_fds timeout =
   in
   go timeout
 
-(* Returns false on EOF before [len] bytes arrived. *)
+(* Returns false on EOF before [len] bytes arrived; a peer that is gone
+   (reset, or an fd already closed) reads as EOF too. *)
 let read_exact fd buf pos len =
   let rec go pos len =
     if len = 0 then true
     else
-      match restart_on_eintr (fun () -> Unix.read fd buf pos len) with
+      match Artifact.restart_on_eintr (fun () -> Unix.read fd buf pos len) with
       | 0 -> false
       | k -> go (pos + k) (len - k)
+      | exception
+          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+        ->
+          false
   in
   go pos len
 
-(* One marshalled message, or None on EOF / truncation (worker died
-   mid-write; the partial payload is discarded). *)
-let read_message fd =
+let recv fd =
   let header = Bytes.create Marshal.header_size in
   if not (read_exact fd header 0 Marshal.header_size) then None
   else
@@ -64,14 +66,7 @@ let read_message fd =
     if not (read_exact fd buf Marshal.header_size data_len) then None
     else Some (Marshal.from_bytes buf 0)
 
-let write_exact fd buf =
-  let len = Bytes.length buf in
-  let rec go pos =
-    if pos < len then
-      let k = restart_on_eintr (fun () -> Unix.write fd buf pos (len - pos)) in
-      go (pos + k)
-  in
-  go 0
+let send fd v = Artifact.write_exact fd (Marshal.to_string v [])
 
 (* Set inside a forked worker, never in the parent: [beat] is a no-op
    on the in-process path and in the pool's parent process, so callers
@@ -83,7 +78,7 @@ let beat () =
   match !beat_state with
   | None -> ()
   | Some (fd, task) ->
-      write_exact fd (Marshal.to_bytes (Beat !task : unit msg) [])
+      send fd (Beat !task : unit msg)
 
 (* Test hook: make the next [n] forks fail with EAGAIN, to exercise
    the spawn retry/censoring path without exhausting real pids. *)
@@ -128,9 +123,9 @@ let spawn f indices =
            List.iter
              (fun i ->
                current := i;
-               write_exact w (Marshal.to_bytes (Beat i : unit msg) []);
+               send w (Beat i : unit msg);
                let v = f i in
-               write_exact w (Marshal.to_bytes (Done (i, v)) []))
+               send w (Done (i, v)))
              indices
          with _ -> ());
         (try Unix.close w with Unix.Unix_error _ -> ());
@@ -151,7 +146,7 @@ let spawn f indices =
 
 let reap w =
   (try Unix.close w.fd with Unix.Unix_error _ -> ());
-  try ignore (restart_on_eintr (fun () -> Unix.waitpid [] w.pid))
+  try ignore (Artifact.restart_on_eintr (fun () -> Unix.waitpid [] w.pid))
   with Unix.Unix_error _ -> ()
 
 let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
@@ -167,7 +162,18 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
         notify i r;
         r)
   else begin
-    let results = Array.make n Lost in
+    (* Results arrive in completion order; [settle] holds each one until
+       every lower index has been reported, so [on_result] sees task
+       order whatever the worker count or the timing. *)
+    let results = Array.make n None in
+    let next = ref 0 in
+    let settle i r =
+      results.(i) <- Some r;
+      while !next < n && Option.is_some results.(!next) do
+        notify !next (Option.get results.(!next));
+        incr next
+      done
+    in
     let stripe j =
       List.filter (fun i -> i mod jobs = j) (List.init n Fun.id)
     in
@@ -183,11 +189,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
           Some w
       | None ->
           pool_notify (Worker_spawn_failed { tasks = List.length indices });
-          List.iter
-            (fun i ->
-              results.(i) <- Lost;
-              notify i Lost)
-            indices;
+          List.iter (fun i -> settle i Lost) indices;
           None
     in
     let workers =
@@ -205,9 +207,8 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
       workers := []
     in
     let deliver w i v =
-      results.(i) <- Value v;
       w.pending <- List.filter (fun j -> j <> i) w.pending;
-      notify i (Value v)
+      settle i (Value v)
     in
     let handle_message w = function
       | Beat _ -> w.last_beat <- Unix.gettimeofday ()
@@ -227,8 +228,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
           pool_notify
             (Worker_died
                { pid = w.pid; lost_task = Some lost; respawned = rest <> [] });
-          results.(lost) <- Lost;
-          notify lost Lost;
+          settle lost Lost;
           if rest <> [] then
             match spawn_noted f rest with
             | Some w' -> workers := w' :: !workers
@@ -241,10 +241,11 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
        of the stripe respawns, exactly like death recovery. *)
     let kill_hung w =
       (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (restart_on_eintr (fun () -> Unix.waitpid [] w.pid))
+      (try
+         ignore (Artifact.restart_on_eintr (fun () -> Unix.waitpid [] w.pid))
        with Unix.Unix_error _ -> ());
       let rec drain () =
-        match read_message w.fd with
+        match recv w.fd with
         | Some (Beat _) -> drain ()
         | Some (Done (i, v)) ->
             deliver w i v;
@@ -262,8 +263,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
           pool_notify
             (Worker_hung
                { pid = w.pid; lost_task = Some lost; respawned = rest <> [] });
-          results.(lost) <- Hung;
-          notify lost Hung;
+          settle lost Hung;
           if rest <> [] then
             match spawn_noted f rest with
             | Some w' -> workers := w' :: !workers
@@ -282,7 +282,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
             match List.find_opt (fun w -> w.fd = fd) !workers with
             | None -> () (* already reaped in this round *)
             | Some w -> (
-                match read_message fd with
+                match recv fd with
                 | Some m -> handle_message w m
                 | None -> handle_eof w))
           ready;
@@ -300,7 +300,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
                 then kill_hung w)
               snapshot)
       done;
-      results
+      Array.map Option.get results
     with e ->
       kill_all ();
       raise e
@@ -334,10 +334,12 @@ let pool_dispatcher =
    the scheduler grants [1..wanted] task slots (raising to abort — the
    exception propagates to the caller with every already-granted batch
    fully delivered), each batch runs on its own fork pool sized to the
-   grant, and [release n] returns the slots. Because results are merged
-   by task index downstream, the batch partition is unobservable in the
-   output — which is what lets a daemon multiplex many campaigns onto
-   one run budget without disturbing any campaign's bytes. *)
+   grant, and [release n] returns the slots. Batches run one after
+   another and each [map] reports in task order, so [on_result] sees
+   task order across the whole dispatch and the batch partition is
+   unobservable in the output — which is what lets a daemon multiplex
+   many campaigns onto one run budget without disturbing any
+   campaign's bytes. *)
 let batched ~acquire ~release =
   {
     dispatch =

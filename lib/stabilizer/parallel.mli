@@ -63,8 +63,11 @@ val beat : unit -> unit
 
 (** [map ?on_result ?on_pool_event ?watchdog ~jobs ~f n] — see the
     module description. [on_result] observes each task's result in
-    *arrival* order (callers needing task order buffer and reorder
-    themselves); it runs in the parent, so it may touch shared state.
+    task order: a result that arrives early is held until every lower
+    index has been reported, so a caller that appends, checkpoints or
+    merges in [on_result] writes the same bytes for any [jobs] and any
+    completion order. It runs in the parent, so it may touch shared
+    state.
     [on_pool_event] likewise runs in the parent and observes worker
     spawn/exit/death/hang. [watchdog] is the hang grace in seconds: a
     worker silent for longer while tasks are outstanding is killed and
@@ -85,8 +88,8 @@ val map :
     A dispatcher abstracts {e how} a task array gets executed so an
     external scheduler (the campaign daemon) can interpose on worker
     allocation without the supervisor knowing. The contract: every task
-    index in [0..n-1] is eventually reported through [on_result]
-    exactly once (as [Value], [Lost], or [Hung]), in any order. *)
+    index in [0..n-1] is reported through [on_result] exactly once (as
+    [Value], [Lost], or [Hung]), in task order. *)
 
 type dispatcher = {
   dispatch :
@@ -108,12 +111,32 @@ val pool_dispatcher : dispatcher
     first calls [acquire wanted] (blocking until the scheduler grants
     [1..wanted] slots; an exception aborts the dispatch with all prior
     batches fully delivered), runs that many consecutive tasks on a
-    fork pool sized to the grant, then calls [release granted]. Because
-    callers merge results by task index, the batch partition is
-    unobservable in the output — a daemon can multiplex many campaigns
-    onto one run budget without disturbing any campaign's bytes. The
-    [jobs] argument to [dispatch] is ignored (the grant decides). *)
+    fork pool sized to the grant, then calls [release granted]. Batches
+    run one after another and each reports in task order, so the batch
+    partition is unobservable in the output — a daemon can multiplex
+    many campaigns onto one run budget without disturbing any
+    campaign's bytes. The [jobs] argument to [dispatch] is ignored (the
+    grant decides). *)
 val batched : acquire:(int -> int) -> release:(int -> unit) -> dispatcher
+
+(** {1 Pipe framing}
+
+    The pool's wire format, for other parent/child pipes (the campaign
+    daemon's runner speaks it too): one [Marshal]ed value per message,
+    written with one {!Stz_store.Artifact.write_exact}. Values must be
+    closure-free data, and the reader must name the type the writer
+    sent — exactly the contract of [Marshal]. *)
+
+(** [send fd v] writes [v] as one message; [Unix_error] (e.g. [EPIPE]
+    when the reader is gone) propagates. A message well under
+    [PIPE_BUF] is one atomic pipe write, so a reader woken by [select]
+    can block-read the rest of it. *)
+val send : Unix.file_descr -> 'a -> unit
+
+(** [recv fd] reads one message; [None] on EOF or on a message cut
+    short (the writer died mid-write; the partial payload is dropped),
+    and when the peer is gone ([ECONNRESET], [EPIPE], a closed fd). *)
+val recv : Unix.file_descr -> 'a option
 
 (** Test hook: force the next [n] [Unix.fork] calls in {!map} to fail
     with [EAGAIN], exercising the spawn retry/backoff/censor path.

@@ -60,6 +60,17 @@ let campaign_line (s : Supervisor.summary) =
     faults_part
     (power_part s.Supervisor.completed)
 
+let run_line (r : Supervisor.record) =
+  Printf.sprintf "run %3d: %s%s" r.Supervisor.run
+    (match r.Supervisor.outcome with
+    | Supervisor.Done d ->
+        Printf.sprintf "%10d cycles (%.6f s)" d.Supervisor.cycles
+          d.Supervisor.seconds
+    | censored -> "censored: " ^ Supervisor.stored_tag censored)
+    (if r.Supervisor.retries > 0 then
+       Printf.sprintf "  (retries=%d)" r.Supervisor.retries
+     else "")
+
 let csv_of_campaign (c : Supervisor.campaign) =
   let module H = Stz_machine.Hierarchy in
   let buf = Buffer.create 256 in

@@ -16,6 +16,11 @@ val csv_of_series : (string * float array) list -> string
     run completed. *)
 val campaign_line : Supervisor.summary -> string
 
+(** One finished run on one line, as [szc campaign] prints it and
+    [szcd] streams it: ["run   7:    1234567 cycles (0.000386 s)"], or
+    ["run   8: censored: budget-exceeded  (retries=3)"]. *)
+val run_line : Supervisor.record -> string
+
 (** Long-format CSV of every run outcome of a campaign, for external
     analysis. Header:
     ["run,seed,retries,outcome,cycles,seconds,value,l1i_misses,l1d_misses,l2_misses,l3_misses,itlb_misses,dtlb_misses,branch_mispredictions,epochs,relocations"]

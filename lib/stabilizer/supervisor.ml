@@ -11,9 +11,6 @@ module Monitor = Stz_monitor.Monitor
 type policy = {
   max_retries : int;
   calibration_runs : int;
-  budget_margin : float;
-  checkpoint_every : int;
-  hang_margin : float;
   hang_grace : float option;
 }
 
@@ -21,11 +18,15 @@ let default_policy =
   {
     max_retries = 3;
     calibration_runs = 5;
-    budget_margin = 8.0;
-    checkpoint_every = 1;
-    hang_margin = 25.0;
     hang_grace = None;
   }
+
+(* Budgets are this multiple of the calibration maximum (cycles / fuel). *)
+let budget_margin = 8.0
+
+(* The calibrated watchdog grace is this multiple of the longest
+   wall-clock attempt seen in this process. *)
+let hang_margin = 25.0
 
 type completed = {
   cycles : int;
@@ -699,10 +700,10 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   let budget_cycles = ref (Option.bind loaded (fun c -> c.budget_cycles)) in
   let budget_fuel = ref (Option.bind loaded (fun c -> c.budget_fuel)) in
   (* Watchdog grace calibration: the longest wall-clock attempt seen in
-     this process (reference probe, serial head) scaled by the policy
-     margin. Per-run fuel is budget-capped, so no honest attempt can
-     exceed the calibration maximum by anything like the margin; only a
-     genuinely wedged worker goes silent that long. *)
+     this process (reference probe, single-run calibration dispatches)
+     scaled by [hang_margin]. Per-run fuel is budget-capped, so no
+     honest attempt can exceed the calibration maximum by anything like
+     the margin; only a genuinely wedged worker goes silent that long. *)
   let max_wall = ref 0.0 in
   let observe_wall dt = if dt > !max_wall then max_wall := dt in
   let timed f =
@@ -713,7 +714,7 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
     match policy.hang_grace with
     | Some g -> g
     | None ->
-        if !max_wall > 0.0 then Stdlib.max 1.0 (policy.hang_margin *. !max_wall)
+        if !max_wall > 0.0 then Stdlib.max 1.0 (hang_margin *. !max_wall)
         else 60.0 (* resumed with nothing measured; conservative fallback *)
   in
   (* The reference value comes from one clean (injection-free) run; a
@@ -757,7 +758,7 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
       if !calib_n >= policy.calibration_runs then begin
         let scale xs =
           int_of_float
-            (policy.budget_margin
+            (budget_margin
             *. float_of_int (List.fold_left Stdlib.max 1 xs))
         in
         budget_cycles := Some (scale !calib_cycles);
@@ -790,13 +791,12 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
     }
   in
   let finished = ref 0 in
-  let maybe_checkpoint ~force =
+  let checkpoint_now () =
     match checkpoint with
-    | Some path when force || !finished mod Stdlib.max 1 policy.checkpoint_every = 0
-      ->
+    | Some path ->
         save path (campaign_so_far ());
         control "checkpoint" [ ("finished", Json.Int !finished) ]
-    | _ -> ()
+    | None -> ()
   in
   let effective_limits () =
     match !budget_fuel with
@@ -908,12 +908,8 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
        estimator state that already includes this run. *)
     monitor_observe r;
     (match on_record with Some f -> f r | None -> ());
-    maybe_checkpoint ~force:false
+    checkpoint_now ()
   in
-  let pending = ref [] in
-  for i = runs - 1 downto 0 do
-    if records.(i) = None then pending := i :: !pending
-  done;
   let on_pool_event =
     Option.map
       (fun tr e ->
@@ -932,77 +928,49 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
           outcome
       else [] )
   in
-  if jobs <= 1 then List.iter (fun i -> deliver i (attempt_run i)) !pending
-  else begin
-    (* Budget calibration is order-dependent — budgets freeze after the
-       first [calibration_runs] completed runs and tighten the limits
-       of every later run — so runs execute serially until the budgets
-       are frozen; only the remainder fans out. Each serial run still
-       crosses a fork boundary (a single-task pool under the watchdog),
-       so a wedge during calibration is as survivable as one in the
-       fan-out. *)
-    let forked_attempt i =
-      let out = ref Parallel.Lost in
-      dispatch.Parallel.dispatch ?on_pool_event ~watchdog:(hang_grace ())
-        ~jobs:1
-        ~on_result:(fun _ r -> out := r)
-        ~f:(fun _ -> attempt_run i)
-        1;
-      match !out with
-      | Parallel.Value payload -> payload
-      | Parallel.Lost -> censored_payload i Worker_lost Outcome.Worker_lost
-      | Parallel.Hung -> censored_payload i Worker_hung Outcome.Worker_hung
-    in
-    let rec serial_head = function
-      | i :: rest when !budget_cycles = None ->
-          let t0 = Unix.gettimeofday () in
-          let payload = forked_attempt i in
-          (match payload with
-          | { outcome = Worker_hung; _ }, _, _ -> ()
-          | _ -> observe_wall (Unix.gettimeofday () -. t0));
-          deliver i payload;
-          serial_head rest
-      | rest -> rest
-    in
-    let tasks = Array.of_list (serial_head !pending) in
-    if Array.length tasks > 0 then begin
-      (* Worker results arrive in completion order; [buffered] and
-         [next_run] re-serialize them so delivery happens in run order
-         — a mid-flight checkpoint therefore always holds a prefix of
-         completed runs, exactly what a serial campaign interrupted at
-         the same point would have written, and resume composes with
-         in-flight workers without double-running anything. *)
-      let buffered = Array.make runs None in
-      let next_run = ref 0 in
-      let advance () =
-        let blocked = ref false in
-        while (not !blocked) && !next_run < runs do
-          match (records.(!next_run), buffered.(!next_run)) with
-          | Some _, _ -> incr next_run
-          | None, Some payload ->
-              buffered.(!next_run) <- None;
-              deliver !next_run payload;
-              incr next_run
-          | None, None -> blocked := true
-        done
-      in
-      let on_result pos res =
+  (* One execution loop. Budget calibration is order-dependent —
+     budgets freeze after the first [calibration_runs] completed runs
+     and tighten the limits of every later run — so runs are dispatched
+     one at a time until the budgets are frozen, then the rest at once.
+     [Parallel] reports results in task order, so [deliver] sees run
+     order for any worker count: a mid-flight checkpoint always holds a
+     prefix of completed runs, exactly what a serial campaign
+     interrupted at the same point would have written. With [jobs <= 1]
+     everything runs in-process; otherwise every run, the single-run
+     calibration dispatches included, crosses a fork boundary under the
+     watchdog, so a wedge during calibration is as survivable as one in
+     the fan-out. *)
+  let dispatch, watchdog =
+    if jobs <= 1 then (Parallel.pool_dispatcher, fun () -> None)
+    else (dispatch, fun () -> Some (hang_grace ()))
+  in
+  let dispatch_runs batch =
+    let tasks = Array.of_list batch in
+    dispatch.Parallel.dispatch ?on_pool_event ?watchdog:(watchdog ()) ~jobs
+      ~on_result:(fun pos res ->
         let i = tasks.(pos) in
-        let payload =
-          match res with
-          | Parallel.Value record_seeds_events -> record_seeds_events
+        deliver i
+          (match res with
+          | Parallel.Value payload -> payload
           | Parallel.Lost -> censored_payload i Worker_lost Outcome.Worker_lost
-          | Parallel.Hung -> censored_payload i Worker_hung Outcome.Worker_hung
-        in
-        buffered.(i) <- Some payload;
-        advance ()
-      in
-      dispatch.Parallel.dispatch ~on_result ?on_pool_event
-        ~watchdog:(hang_grace ()) ~jobs
-        ~f:(fun pos -> attempt_run tasks.(pos))
-        (Array.length tasks)
-    end
-  end;
+          | Parallel.Hung -> censored_payload i Worker_hung Outcome.Worker_hung))
+      ~f:(fun pos -> attempt_run tasks.(pos))
+      (Array.length tasks)
+  in
+  let rec loop = function
+    | i :: rest when !budget_cycles = None ->
+        let t0 = Unix.gettimeofday () in
+        dispatch_runs [ i ];
+        (* A hung run lasted as long as the grace, which says nothing
+           about how long an honest run takes. *)
+        (match records.(i) with
+        | Some { outcome = Worker_hung; _ } -> ()
+        | _ -> observe_wall (Unix.gettimeofday () -. t0));
+        loop rest
+    | [] -> ()
+    | rest -> dispatch_runs rest
+  in
+  loop (List.filter (fun i -> records.(i) = None) (List.init runs Fun.id));
   let c = campaign_so_far () in
   (match checkpoint with Some path -> save path c | None -> ());
   (match monitor with

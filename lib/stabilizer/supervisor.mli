@@ -19,17 +19,13 @@
 type policy = {
   max_retries : int;  (** retry attempts per run beyond the first *)
   calibration_runs : int;
-      (** successful runs observed before budgets are frozen *)
-  budget_margin : float;
-      (** budgets = margin × the calibration maximum (cycles / fuel) *)
-  checkpoint_every : int;  (** checkpoint after every [k] finished runs *)
-  hang_margin : float;
-      (** watchdog grace = margin × the longest wall-clock attempt seen
-          during calibration (reference probe + serial head); a worker
-          silent longer than that is declared hung *)
+      (** successful runs observed before budgets are frozen; budgets
+          are then 8 × the calibration maximum (cycles / fuel) *)
   hang_grace : float option;
-      (** fixed watchdog grace in seconds, overriding the calibrated
-          one; [None] (the default) calibrates *)
+      (** fixed watchdog grace in seconds; [None] (the default)
+          calibrates it as 25 × the longest wall-clock attempt seen
+          during calibration (reference probe + single-run dispatches),
+          at least 1 s *)
 }
 
 val default_policy : policy
@@ -122,22 +118,24 @@ exception Mismatch of string
     campaign would. [on_record] observes each finished run (useful for
     progress display — and for tests that kill a campaign mid-flight).
 
-    [jobs] (default 1) executes runs on a {!Parallel} fork pool. Runs
-    are serialized until the cycle/fuel budgets freeze (they change the
-    limits of later runs), then the remainder fans out; results are
-    merged, quarantined, reported through [on_record] and checkpointed
-    strictly in run order, so samples, checkpoints and outcome CSVs are
-    bit-identical to a serial campaign's for any worker count. A worker
-    that dies censors exactly the run it was executing as
-    {!Worker_lost}; the rest of its task stripe is re-spawned. A worker
-    that goes silent past the watchdog grace (calibrated per
-    [policy.hang_margin], overridable via [policy.hang_grace]) is
-    SIGKILLed and its run censored as {!Worker_hung} — results it
-    finished before wedging are salvaged from its pipe first, so hang
-    recovery costs exactly the wedged run and the campaign stays
-    bit-identical across worker counts. With [jobs > 1] even the serial
-    calibration head runs across a fork boundary, so a wedge during
-    calibration is equally survivable.
+    [jobs] (default 1) sets the {!Parallel} worker count. One loop
+    executes the campaign: it dispatches one run at a time until the
+    cycle/fuel budgets freeze (they change the limits of later runs),
+    then dispatches the remainder at once. {!Parallel} reports results
+    in task order, and each is quarantined, reported through
+    [on_record] and checkpointed as it arrives, so samples, checkpoints
+    and outcome CSVs are bit-identical to a serial campaign's for any
+    worker count. With [jobs <= 1] every run executes in-process. With
+    [jobs > 1] every dispatch, the single-run ones included, goes
+    through [dispatch] under the watchdog, so a wedge during
+    calibration is as survivable as one in the fan-out. A worker that
+    dies censors exactly the run it was executing as {!Worker_lost};
+    the rest of its task stripe is re-spawned. A worker that goes
+    silent past the watchdog grace ([policy.hang_grace], calibrated
+    when [None]) is SIGKILLed and its run censored as {!Worker_hung} —
+    results it finished before wedging are salvaged from its pipe
+    first, so hang recovery costs exactly the wedged run and the
+    campaign stays bit-identical across worker counts.
 
     [telemetry] streams the campaign into a {!Stz_telemetry.Trace}:
     every run contributes its attempt spans (produced worker-side and
@@ -164,9 +162,8 @@ exception Mismatch of string
     [dispatch] (default {!Parallel.pool_dispatcher}) decides how task
     batches reach the fork pool on the [jobs > 1] path — the campaign
     daemon passes {!Parallel.batched} so an external fair-share
-    scheduler can meter run slots. Run-order delivery, checkpointing
-    and monitoring are all downstream of the merge, so any conforming
-    dispatcher yields byte-identical artifacts. *)
+    scheduler can meter run slots. Every dispatcher reports in task
+    order, so any conforming one yields byte-identical artifacts. *)
 val run_campaign :
   ?policy:policy ->
   ?profile:Stz_faults.Fault.profile ->

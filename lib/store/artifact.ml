@@ -12,13 +12,17 @@ let clear_injector () = injector := None
 (* Durable writes                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let rec restart_on_eintr f =
+  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
+
 let write_exact fd s =
   let len = String.length s in
   let rec go pos =
     if pos < len then
-      match Unix.write_substring fd s pos (len - pos) with
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+      let k =
+        restart_on_eintr (fun () -> Unix.write_substring fd s pos (len - pos))
+      in
+      go (pos + k)
   in
   go 0
 

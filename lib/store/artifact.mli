@@ -58,9 +58,15 @@ val write_file : string -> string -> unit
 (** [read_file path] — whole file as a string. *)
 val read_file : string -> (string, string) result
 
+(** [restart_on_eintr f] calls [f ()] again for as long as it raises
+    [Unix_error EINTR]: a signal landing mid-syscall is never an
+    error. *)
+val restart_on_eintr : (unit -> 'a) -> 'a
+
 (** [write_exact fd s] writes all of [s] at [fd]'s offset, retrying
     short writes and [EINTR]. Neither atomic nor fsynced: incremental
-    logs ({!Log}) rely on salvage instead. *)
+    logs ({!Log}) rely on salvage instead. Any other [Unix_error]
+    (e.g. [EPIPE] from a vanished reader) propagates. *)
 val write_exact : Unix.file_descr -> string -> unit
 
 (** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).

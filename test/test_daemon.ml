@@ -501,6 +501,60 @@ let detach_then_reattach () =
         (fun i c ->
           check_int (Printf.sprintf "run %d delivered exactly once" i) 1 c)
         seen;
+      (* Attaching to the finished campaign from run k replays exactly
+         runs k.. and returns its exit code. *)
+      let k = 17 in
+      let replayed = ref [] in
+      (match
+         Client.attach ~socket:d.socket ~deadline ~seed:9L ~tenant:"t1"
+           ~id:"c" ~from_run:k
+           ~progress:(fun run _ -> replayed := run :: !replayed)
+       with
+      | Ok (code, _) -> check_int "attach returns the exit code" 0 code
+      | Error e -> Alcotest.failf "attach: %s" e);
+      check_bool "attach replays exactly runs >= k" true
+        (List.rev !replayed = List.init (runs - k) (fun i -> k + i));
+      check_clean_drain stop)
+
+(* A history ledger that cannot be appended to aborts the campaign with
+   exit 3 — from szc and from szcd alike — and keeps the artifacts
+   already written. *)
+let unappendable_ledger_exits_3 () =
+  with_daemon "ledger" (fun d stop ->
+      let runs = 4 and seed = 5 in
+      let campaign ledger csv =
+        Sys.command
+          (Printf.sprintf
+             "%s campaign bzip2 --runs %d --seed %d --scale 0.05 --faults \
+              light --quiet --csv %s --ledger %s >/dev/null 2>&1"
+             (Filename.quote szc_exe) runs seed (Filename.quote csv)
+             (Filename.quote ledger))
+      in
+      let path name = Filename.concat d.root name in
+      check_int "szc: good ledger exits 0" 0
+        (campaign (path "good.ledger") (path "good.csv"));
+      let bad = Bytes.of_string (read_file (path "good.ledger")) in
+      Bytes.set bad 60 (Char.chr (Char.code (Bytes.get bad 60) lxor 1));
+      write_file (path "bad.ledger") (Bytes.to_string bad);
+      check_int "szc: bit-flipped ledger exits 3" 3
+        (campaign (path "bad.ledger") (path "bad.csv"));
+      check_string "szc: CSV still written" (read_file (path "good.csv"))
+        (read_file (path "bad.csv"));
+      let dir = Spool.dir ~spool:d.spool ~tenant:"t1" ~id:"c" in
+      Stz_store.Artifact.mkdir_p dir;
+      write_file (Spool.ledger_path dir) (Bytes.to_string bad);
+      (match
+         Client.submit_and_wait ~socket:d.socket ~deadline:(deadline_in 60.0)
+           ~seed:3L ~tenant:"t1" ~id:"c" ~spec:(spec_for ~seed ~runs)
+           ~progress:(fun _ _ -> ())
+       with
+      | Ok (code, line) ->
+          check_int "szcd: bit-flipped ledger exits 3" 3 code;
+          check_bool "szcd: says why" true
+            (contains line "campaign aborted: ledger")
+      | Error e -> Alcotest.failf "submit: %s" e);
+      check_string "szcd: CSV still written" (read_file (path "good.csv"))
+        (read_file (Spool.csv_path dir));
       check_clean_drain stop)
 
 (* ------------------------------------------------------------------ *)
@@ -766,6 +820,8 @@ let () =
             three_tenants_match_solo;
           Alcotest.test_case "detach then reattach, no gaps" `Quick
             detach_then_reattach;
+          Alcotest.test_case "bad ledger exits 3 in szc and szcd" `Quick
+            unappendable_ledger_exits_3;
         ] );
       ( "ops",
         [

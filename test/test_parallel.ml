@@ -46,17 +46,41 @@ let map_matches_serial_prop =
       = Array.init n (fun i -> S.Parallel.Value (f i)))
 
 let on_result_reports_each_task_once () =
-  let n = 17 and jobs = 4 in
-  let counts = Array.make n 0 in
-  let results =
-    S.Parallel.map
-      ~on_result:(fun i _ -> counts.(i) <- counts.(i) + 1)
-      ~jobs ~f:(fun i -> i) n
+  (* Later tasks finish first — task i sleeps (n - i) * 20 ms — yet
+     every path must report each task exactly once, in task order. *)
+  let n = 8 in
+  let run name ?watchdog ?(lost = -1) (d : S.Parallel.dispatcher) =
+    let seen = ref [] in
+    d.S.Parallel.dispatch ?watchdog ~jobs:4
+      ~on_result:(fun i r -> seen := (i, r) :: !seen)
+      ~f:(fun i ->
+        if i = lost then Unix._exit 1;
+        Unix.sleepf (0.02 *. float_of_int (n - i));
+        i)
+      n;
+    let seen = List.rev !seen in
+    check_bool (name ^ ": each task once, in task order") true
+      (List.map fst seen = List.init n Fun.id);
+    List.iter
+      (fun (i, r) ->
+        if i = lost then
+          check_bool (name ^ ": task lost") true (r = S.Parallel.Lost)
+        else check_int (Printf.sprintf "%s: task %d" name i) i (value r))
+      seen
   in
-  Array.iteri
-    (fun i c -> check_int (Printf.sprintf "task %d reported once" i) 1 c)
-    counts;
-  Array.iteri (fun i r -> check_int "result" i (value r)) results
+  run "forked" S.Parallel.pool_dispatcher;
+  run "forked, watchdog" ~watchdog:30.0 S.Parallel.pool_dispatcher;
+  run "lost task in the middle" ~lost:3 S.Parallel.pool_dispatcher;
+  let grants = ref [ 3; 1; 4 ] in
+  run "batched, uneven grants"
+    (S.Parallel.batched
+       ~acquire:(fun wanted ->
+         match !grants with
+         | g :: rest ->
+             grants := rest;
+             min g wanted
+         | [] -> wanted)
+       ~release:ignore)
 
 let workers_actually_overlap () =
   (* Sleeping tasks prove concurrency even on a single-CPU box: eight
