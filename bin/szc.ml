@@ -35,15 +35,15 @@ let jobs_term =
           "Execute runs on $(docv) forked workers. Results are merged in \
            run order, so outputs are bit-identical to $(b,--jobs 1).")
 
+let level_conv =
+  Arg.conv
+    ( (fun s ->
+        match Stz_vm.Opt.level_of_string s with
+        | Some l -> Ok l
+        | None -> Error (`Msg ("unknown optimization level " ^ s))),
+      fun fmt l -> Format.pp_print_string fmt (Stz_vm.Opt.level_to_string l) )
+
 let opt_term =
-  let level_conv =
-    Arg.conv
-      ( (fun s ->
-          match Stz_vm.Opt.level_of_string s with
-          | Some l -> Ok l
-          | None -> Error (`Msg ("unknown optimization level " ^ s))),
-        fun fmt l -> Format.pp_print_string fmt (Stz_vm.Opt.level_to_string l) )
-  in
   Arg.(
     value & opt level_conv Stz_vm.Opt.O2
     & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"Optimization level (O0..O3).")
@@ -357,14 +357,6 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 
 let compare_cmd =
-  let opt_conv =
-    Arg.conv
-      ( (fun s ->
-          match Stz_vm.Opt.level_of_string s with
-          | Some l -> Ok l
-          | None -> Error (`Msg ("unknown optimization level " ^ s))),
-        fun fmt l -> Format.pp_print_string fmt (Stz_vm.Opt.level_to_string l) )
-  in
   let run bench runs seed scale config opt_a opt_b profile min_n retries jobs
       trace metrics lanes =
     let* prof = lookup_bench bench scale in
@@ -435,10 +427,10 @@ let compare_cmd =
       term_result
         (const run $ bench_arg $ runs_term $ seed_term $ scale_term $ config_term
         $ Arg.(
-            value & opt opt_conv Stz_vm.Opt.O1
+            value & opt level_conv Stz_vm.Opt.O1
             & info [ "opt-a" ] ~docv:"LEVEL" ~doc:"First optimization level.")
         $ Arg.(
-            value & opt opt_conv Stz_vm.Opt.O2
+            value & opt level_conv Stz_vm.Opt.O2
             & info [ "opt-b" ] ~docv:"LEVEL" ~doc:"Second optimization level.")
         $ faults_term $ min_n_term $ retries_term $ jobs_term $ trace_term
         $ metrics_term $ lanes_term))
@@ -940,21 +932,10 @@ let campaign_cmd =
           match ledger with
           | None -> None
           | Some path -> (
-              let fp =
-                Stabilizer.History.fingerprint ~bench ~opt ~scale campaign
-              in
-              let verdict =
-                match monitor with
-                | Some m ->
-                    Stz_monitor.Monitor.verdict_to_string
-                      (Stz_monitor.Monitor.advise m)
-                | None -> "-"
-              in
-              let entry =
-                Stabilizer.History.entry_of_campaign ~verdict ~label:bench
-                  ~fingerprint:fp campaign
-              in
-              match Stz_store.Ledger.append path entry with
+              match
+                Stabilizer.History.append ?monitor ~bench ~opt ~scale path
+                  campaign
+              with
               | Ok seq ->
                   Printf.printf "ledger: entry %d appended to %s\n" seq path;
                   None
@@ -964,15 +945,17 @@ let campaign_cmd =
         | Some msg ->
             Printf.eprintf "szc: campaign aborted: %s\n" msg;
             Ok 3
-        | None when summary.Stabilizer.Supervisor.completed = 0 ->
-            Printf.eprintf "szc: campaign aborted: every run was censored\n";
-            Ok 3
-        | None when summary.Stabilizer.Supervisor.completed < min_n ->
-            Printf.printf
-              "no verdict possible: %d uncensored runs, need %d (exit 2)\n"
-              summary.Stabilizer.Supervisor.completed min_n;
-            Ok 2
-        | None -> Ok 0
+        | None ->
+            let code = Stabilizer.Supervisor.exit_code ~min_n summary in
+            (match code with
+            | 3 ->
+                Printf.eprintf "szc: campaign aborted: every run was censored\n"
+            | 2 ->
+                Printf.printf
+                  "no verdict possible: %d uncensored runs, need %d (exit 2)\n"
+                  summary.Stabilizer.Supervisor.completed min_n
+            | _ -> ());
+            Ok code
   in
   let term =
     Term.(

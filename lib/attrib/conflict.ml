@@ -16,16 +16,6 @@ let structure_name = function
   | Dtlb -> "dtlb"
   | Predictor -> "branch"
 
-let structure_of_name = function
-  | "l1i" -> Some L1i
-  | "l1d" -> Some L1d
-  | "l2" -> Some L2
-  | "l3" -> Some L3
-  | "itlb" -> Some Itlb
-  | "dtlb" -> Some Dtlb
-  | "branch" -> Some Predictor
-  | _ -> None
-
 let structure_rank = function
   | L1i -> 0
   | L1d -> 1

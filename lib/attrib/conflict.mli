@@ -14,7 +14,6 @@ type structure = L1i | L1d | L2 | L3 | Itlb | Dtlb | Predictor
 
 val all_structures : structure list
 val structure_name : structure -> string
-val structure_of_name : string -> structure option
 
 (** One undirected conflicting pair within one structure. [f1 <= f2];
     [events] sums both eviction directions. *)

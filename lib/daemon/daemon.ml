@@ -38,12 +38,6 @@ let max_fork_retries = 3
    is declared wedged and detached; its campaign keeps running. *)
 let max_client_outbuf = 1 lsl 20
 
-(* Retention bounds for a long-lived daemon: progress lines kept per
-   campaign for late [stream] replay, and finished campaigns remembered
-   in memory (older ones still answer from the spool). *)
-let max_log_lines = 512
-let max_done_cache = 256
-
 type client = {
   c_fd : Unix.file_descr;
   mutable dec : Wire.decoder;
@@ -63,19 +57,15 @@ type runner_state = {
   pid : int;
   grant_w : Unix.file_descr;
   event_r : Unix.file_descr;
-  mutable completed : int;
-  mutable log : (int * string) list;  (** newest first, capped *)
-  mutable log_len : int;
-  mutable finished : (int * string) option;  (** Finished event payload *)
+  mutable log : (int * string) list;
+      (** progress lines, newest first: the checkpoint's runs at spawn,
+          then one per [Progress] event. One per finished run, so at
+          most the admitted run count; dropped when the runner is
+          reaped. *)
   mutable cancelling : bool;
   mutable stop_sent : bool;  (** a Stop grant is already queued *)
   mutable restarts : int;
 }
-
-(* A finished campaign this daemon still remembers: lets status/stream
-   answer without a runner. Spool results survive restarts; this cache
-   additionally keeps the summary line and the progress log. *)
-type done_state = { d_exit : int; d_line : string; d_log : (int * string) list }
 
 type state = {
   cfg : config;
@@ -84,8 +74,6 @@ type state = {
   mutable listen_fd : Unix.file_descr option;
   mutable clients : client list;
   mutable runners : runner_state list;
-  done_cache : (string, done_state) Hashtbl.t;
-  done_order : string Queue.t;  (** insertion order, for eviction *)
   mutable draining : bool;
   (* The operational plane. Everything below is wall-clock-fed and
      write-only from the campaign plane's point of view: no campaign
@@ -252,6 +240,8 @@ let fork_with_retry () =
   go 0
 
 let spawn_runner st ~tenant ~id ~dir ~spec ~resume ~disarm_storage ~restarts =
+  (* Read before the fork, while nothing can be appending to it. *)
+  let log = if resume then List.rev (Spool.progress ~dir) else [] in
   let grant_r, grant_w = Unix.pipe () in
   let event_r, event_w = Unix.pipe () in
   flush stdout;
@@ -298,10 +288,7 @@ let spawn_runner st ~tenant ~id ~dir ~spec ~resume ~disarm_storage ~restarts =
           pid;
           grant_w;
           event_r;
-          completed = 0;
-          log = [];
-          log_len = 0;
-          finished = None;
+          log;
           cancelling = false;
           stop_sent = false;
           restarts;
@@ -339,28 +326,6 @@ let repair_and_respawn st ~tenant ~id ~dir ~spec ~restarts =
 
 let find_runner st key = List.find_opt (fun r -> r.key = key) st.runners
 
-(* Bounded memory of finished campaigns: evict oldest-first once over
-   the cap; evicted campaigns still answer status/stream from their
-   spool result, just without the in-memory progress replay. *)
-let remember_done st key d =
-  if not (Hashtbl.mem st.done_cache key) then Queue.push key st.done_order;
-  Hashtbl.replace st.done_cache key d;
-  while
-    Hashtbl.length st.done_cache > max_done_cache
-    && not (Queue.is_empty st.done_order)
-  do
-    Hashtbl.remove st.done_cache (Queue.pop st.done_order)
-  done
-
-(* Newest-first prepend with amortized-O(1) truncation to the cap. *)
-let log_progress r entry =
-  r.log <- entry :: r.log;
-  r.log_len <- r.log_len + 1;
-  if r.log_len > 2 * max_log_lines then begin
-    r.log <- List.filteri (fun i _ -> i < max_log_lines) r.log;
-    r.log_len <- max_log_lines
-  end
-
 let release_runner st r =
   Sched.unregister st.sched ~key:r.key;
   Quota.release st.quota ~tenant:r.tenant ~runs:r.r_spec.Spool.runs;
@@ -370,8 +335,7 @@ let release_runner st r =
   st.runners <- List.filter (fun x -> x.key <> r.key) st.runners
 
 let abort_campaign st r line =
-  Spool.write_result ~dir:r.r_dir (Spool.Finished 3);
-  remember_done st r.key { d_exit = 3; d_line = line; d_log = r.log };
+  Spool.write_result ~dir:r.r_dir (Spool.Finished { exit_code = 3; line });
   Ops.incr st.ops "runner.abort";
   ops_event st "runner.abort"
     [ ("key", Json.String r.key); ("line", Json.String line) ];
@@ -379,7 +343,8 @@ let abort_campaign st r line =
     (fun c -> respond st c (Protocol.Summary { exit_code = 3; line }))
     (watchers st r.key)
 
-(* EOF on the event pipe: the runner exited. Decide what that means. *)
+(* EOF on the event pipe: the runner exited. Its result record, if it
+   wrote one, says how the campaign ended. *)
 let reap_runner st r =
   let status =
     match Artifact.restart_on_eintr (fun () -> Unix.waitpid [] r.pid) with
@@ -387,40 +352,30 @@ let reap_runner st r =
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
   in
   release_runner st r;
-  let finished_payload =
-    match r.finished with
-    | Some (code, line) -> Some (code, line)
-    | None -> (
-        (* The Finished event can be lost to a crash after the result
-           record was already durable; trust the spool. *)
-        match Spool.read_result ~dir:r.r_dir with
-        | Ok (Spool.Finished code) -> Some (code, "campaign finished")
-        | Ok Spool.Cancelled -> Some (1, "campaign cancelled")
-        | Error _ -> None)
-  in
-  match finished_payload with
-  | Some (code, line) ->
-      remember_done st r.key { d_exit = code; d_line = line; d_log = r.log };
+  match Spool.read_result ~dir:r.r_dir with
+  | Ok (Spool.Finished { exit_code; line }) ->
       Ops.incr st.ops
-        (if code = 0 then "campaign.finished.ok" else "campaign.finished.fail");
+        (if exit_code = 0 then "campaign.finished.ok"
+         else "campaign.finished.fail");
       ops_event st "campaign.finished"
-        [ ("key", Json.String r.key); ("exit_code", Json.Int code) ];
-      log_line st "%s finished (exit %d)" r.key code
-  | None when r.cancelling ->
+        [ ("key", Json.String r.key); ("exit_code", Json.Int exit_code) ];
+      log_line st "%s finished (exit %d)" r.key exit_code;
+      List.iter
+        (fun c -> respond st c (Protocol.Summary { exit_code; line }))
+        (watchers st r.key)
+  | _ when r.cancelling ->
       Spool.write_result ~dir:r.r_dir Spool.Cancelled;
-      remember_done st r.key
-        { d_exit = 1; d_line = "campaign cancelled"; d_log = r.log };
       Ops.incr st.ops "campaign.cancelled";
       ops_event st "campaign.cancelled" [ ("key", Json.String r.key) ];
       List.iter (fun c -> respond st c Protocol.Cancelled) (watchers st r.key);
       log_line st "%s cancelled" r.key
-  | None when st.draining ->
+  | _ when st.draining ->
       (* Drained: checkpointed and resumable; the next daemon picks it
          up from the spool. *)
       Ops.incr st.ops "runner.drained";
       ops_event st "runner.drained" [ ("key", Json.String r.key) ];
       log_line st "%s drained (checkpointed, resumable)" r.key
-  | None ->
+  | _ ->
       (* Unexpected death (crash, OOM-kill, chaos). Restart from the
          checkpoint, faults disarmed — bounded, then fail the
          campaign. *)
@@ -449,10 +404,7 @@ let reap_runner st r =
           repair_and_respawn st ~tenant:r.tenant ~id:r.id ~dir:r.r_dir
             ~spec:r.r_spec ~restarts:(r.restarts + 1)
         with
-        | Ok nr ->
-            nr.completed <- r.completed;
-            nr.log <- r.log;
-            nr.log_len <- r.log_len
+        | Ok _ -> ()
         | Error e ->
             log_line st "%s restart failed (%s)" r.key e;
             abort_campaign st r ("campaign aborted: cannot respawn runner: " ^ e)
@@ -469,15 +421,9 @@ let handle_runner_event st r =
   | Some (Runner.Want n) -> Sched.want st.sched ~key:r.key n
   | Some (Runner.Freed n) -> Sched.free st.sched ~key:r.key n
   | Some (Runner.Progress { run; line }) ->
-      r.completed <- r.completed + 1;
-      log_progress r (run, line);
+      r.log <- (run, line) :: r.log;
       List.iter
         (fun c -> respond st c (Protocol.Progress { run; line }))
-        (watchers st r.key)
-  | Some (Runner.Finished { exit_code; line }) ->
-      r.finished <- Some (exit_code, line);
-      List.iter
-        (fun c -> respond st c (Protocol.Summary { exit_code; line }))
         (watchers st r.key)
 
 (* A runner reads exactly one grant per batch boundary, so Stop must be
@@ -555,7 +501,7 @@ let build_stats st =
           v with
           Protocol.tr_active = (v.Protocol.tr_active + if held > 0 then 1 else 0);
           tr_queued = (v.Protocol.tr_queued + if held = 0 then 1 else 0);
-          tr_completed = v.Protocol.tr_completed + r.completed;
+          tr_completed = v.Protocol.tr_completed + List.length r.log;
           tr_runs = v.Protocol.tr_runs + r.r_spec.Spool.runs;
           tr_held = v.Protocol.tr_held + held;
           tr_deficit = v.Protocol.tr_deficit + deficit;
@@ -590,7 +536,7 @@ let campaign_status st ~tenant ~id =
       Protocol.Status_is
         {
           state = "running";
-          completed = r.completed;
+          completed = List.length r.log;
           runs = r.r_spec.Spool.runs;
           exit_code = None;
           info;
@@ -600,7 +546,9 @@ let campaign_status st ~tenant ~id =
       match Spool.read_result ~dir with
       | Ok outcome ->
           let exit_code =
-            match outcome with Spool.Finished c -> Some c | Spool.Cancelled -> None
+            match outcome with
+            | Spool.Finished { exit_code; _ } -> Some exit_code
+            | Spool.Cancelled -> None
           in
           let runs =
             match Spool.read_manifest ~dir with
@@ -706,38 +654,30 @@ let handle_submit st ~tenant ~id ~spec =
                   Quota.release st.quota ~tenant ~runs:spec.Spool.runs;
                   Protocol.Rejected { reason = "cannot spawn runner: " ^ e }))
 
+(* Two sources: a live runner's log, then its watchers get the rest as
+   it happens; or, with no runner, the spool's checkpoint and result. *)
 let handle_stream st c ~tenant ~id ~from_run =
   let key = key_of ~tenant ~id in
+  let replay =
+    List.iter (fun (run, line) ->
+        if run >= from_run then respond st c (Protocol.Progress { run; line }))
+  in
   match find_runner st key with
   | Some r ->
       c.watching <- Some key;
-      List.iter
-        (fun (run, line) ->
-          if run >= from_run then respond st c (Protocol.Progress { run; line }))
-        (List.rev r.log);
-      (match r.finished with
-      | Some (exit_code, line) ->
-          respond st c (Protocol.Summary { exit_code; line })
-      | None -> ())
+      replay (List.rev r.log)
   | None -> (
-      match Hashtbl.find_opt st.done_cache key with
-      | Some d ->
-          List.iter
-            (fun (run, line) ->
-              if run >= from_run then
-                respond st c (Protocol.Progress { run; line }))
-            (List.rev d.d_log);
-          respond st c (Protocol.Summary { exit_code = d.d_exit; line = d.d_line })
-      | None -> (
-          let dir = Spool.dir ~spool:st.cfg.spool ~tenant ~id in
-          match Spool.read_result ~dir with
-          | Ok (Spool.Finished code) ->
-              respond st c
-                (Protocol.Summary { exit_code = code; line = "campaign finished" })
-          | Ok Spool.Cancelled -> respond st c Protocol.Cancelled
-          | Error _ ->
-              respond st c
-                (Protocol.Rejected { reason = "no such campaign: " ^ key })))
+      let dir = Spool.dir ~spool:st.cfg.spool ~tenant ~id in
+      match Spool.read_result ~dir with
+      | Ok outcome ->
+          replay (Spool.progress ~dir);
+          respond st c
+            (match outcome with
+            | Spool.Finished { exit_code; line } ->
+                Protocol.Summary { exit_code; line }
+            | Spool.Cancelled -> Protocol.Cancelled)
+      | Error _ ->
+          respond st c (Protocol.Rejected { reason = "no such campaign: " ^ key }))
 
 let handle_cancel st ~tenant ~id =
   let key = key_of ~tenant ~id in
@@ -923,8 +863,6 @@ let run cfg =
       listen_fd = None;
       clients = [];
       runners = [];
-      done_cache = Hashtbl.create 64;
-      done_order = Queue.create ();
       draining = false;
       ops = Ops.create ();
       oplog = None;

@@ -10,7 +10,13 @@ type request =
   | Stream of { tenant : string; id : string; from_run : int }
       (** attach to a campaign's progress; finished runs from
           [from_run] on are replayed first, so a reconnecting client
-          resumes its feed without gaps *)
+          resumes its feed without gaps. A live runner's feed replays
+          from memory (its checkpoint at spawn, then every run since);
+          a campaign with no runner replays its spooled checkpoint and
+          ends with its result's summary line. That replay reads the
+          checkpoint's longest valid prefix, so a campaign whose final
+          checkpoint was damaged by injected storage faults replays
+          only the salvageable runs. *)
   | Cancel of { tenant : string; id : string }
   | Drain
   | Stats  (** one ops-plane snapshot ({!Stats_is}) *)

@@ -5,7 +5,6 @@ type event =
   | Want of int
   | Freed of int
   | Progress of { run : int; line : string }
-  | Finished of { exit_code : int; line : string }
 
 type grant = Grant of int | Stop
 
@@ -49,27 +48,19 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
   in
   let release n = send_event (Freed n) in
   let dispatch = S.Parallel.batched ~acquire ~release in
-  let profile =
-    match Stz_faults.Fault.profile_of_string spec.Spool.faults with
-    | Ok p -> p
-    | Error e -> failwith ("runner: invalid fault profile: " ^ e)
+  (* The result record, written with storage faults off, is what ends a
+     campaign: the daemon reads it once this process has exited. *)
+  let finish exit_code line =
+    Stz_faults.Storage.disarm ();
+    Spool.write_result ~dir (Spool.Finished { exit_code; line });
+    exit exit_finished
   in
-  let storage =
-    match Stz_faults.Storage.profile_of_string spec.Spool.storage_faults with
-    | Ok p -> p
-    | Error e -> failwith ("runner: invalid storage profile: " ^ e)
+  let rs =
+    match Spool.resolve spec with
+    | Ok rs -> rs
+    | Error e -> finish 3 ("campaign aborted: invalid spec: " ^ e)
   in
-  let opt =
-    match Stz_vm.Opt.level_of_string spec.Spool.opt with
-    | Some l -> l
-    | None -> failwith ("runner: invalid opt level " ^ spec.Spool.opt)
-  in
-  let bench_profile =
-    match Stz_workloads.Spec.find spec.Spool.bench with
-    | Some p -> Stz_workloads.Profile.scale spec.Spool.scale p
-    | None -> failwith ("runner: unknown benchmark " ^ spec.Spool.bench)
-  in
-  let program = Stz_workloads.Generate.program bench_profile in
+  let program = Stz_workloads.Generate.program rs.Spool.workload in
   let config = S.Config.stabilizer in
   let monitor =
     if spec.Spool.ledger then Some (Stz_monitor.Monitor.create ()) else None
@@ -90,27 +81,22 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
         S.Supervisor.max_retries = spec.Spool.retries;
       }
     in
-    if profile.Stz_faults.Fault.wedge = 0.0 then
+    if rs.Spool.profile.Stz_faults.Fault.wedge = 0.0 then
       { base with S.Supervisor.hang_grace = Some 120.0 }
     else base
   in
-  if (not disarm_storage) && Stz_faults.Storage.active storage then
-    Stz_faults.Storage.arm ~seed:(Int64.of_int spec.Spool.storage_seed) storage;
-  let finish outcome exit_code line =
-    Stz_faults.Storage.disarm ();
-    Spool.write_result ~dir outcome;
-    send_event (Finished { exit_code; line });
-    (try Unix.close event_w with Unix.Unix_error _ -> ());
-    exit exit_finished
-  in
+  if (not disarm_storage) && Stz_faults.Storage.active rs.Spool.storage then
+    Stz_faults.Storage.arm
+      ~seed:(Int64.of_int spec.Spool.storage_seed)
+      rs.Spool.storage;
   match
-    S.Driver.campaign ~policy ~profile ~jobs:2
+    S.Driver.campaign ~policy ~profile:rs.Spool.profile ~jobs:2
       ~checkpoint:(Spool.checkpoint_path dir) ~resume ?telemetry ?monitor
       ~dispatch
       ~on_record:(fun r ->
         send_event
           (Progress { run = r.S.Supervisor.run; line = S.Report.run_line r }))
-      ~config ~opt
+      ~config ~opt:rs.Spool.level
       ~base_seed:(Int64.of_int spec.Spool.seed)
       ~runs:spec.Spool.runs ~args:Stz_workloads.Generate.default_args program
   with
@@ -120,10 +106,8 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
   | exception Orphaned ->
       Stz_faults.Storage.disarm ();
       exit exit_orphaned
-  | exception S.Supervisor.Mismatch msg ->
-      finish (Spool.Finished 3) 3 ("campaign aborted: " ^ msg)
-  | campaign ->
-      let summary = S.Supervisor.summarize campaign in
+  | exception S.Supervisor.Mismatch msg -> finish 3 ("campaign aborted: " ^ msg)
+  | campaign -> (
       (match (spec.Spool.trace, telemetry) with
       | true, Some tr ->
           Artifact.write_with_sum (Spool.trace_path dir)
@@ -131,38 +115,18 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
       | _ -> ());
       Artifact.write_with_sum (Spool.csv_path dir)
         (S.Report.csv_of_campaign campaign);
-      let ledger_failed =
-        if not spec.Spool.ledger then None
-        else
-          let fp =
-            S.History.fingerprint ~bench:spec.Spool.bench ~opt
-              ~scale:spec.Spool.scale campaign
-          in
-          let verdict =
-            match monitor with
-            | Some m ->
-                Stz_monitor.Monitor.verdict_to_string
-                  (Stz_monitor.Monitor.advise m)
-            | None -> "-"
-          in
-          let entry =
-            S.History.entry_of_campaign ~verdict ~label:spec.Spool.bench
-              ~fingerprint:fp campaign
-          in
-          match Stz_store.Ledger.append (Spool.ledger_path dir) entry with
-          | Ok _ -> None
-          | Error e -> Some e
+      let path = Spool.ledger_path dir in
+      let appended =
+        if spec.Spool.ledger then
+          S.History.append ?monitor ~bench:spec.Spool.bench ~opt:rs.Spool.level
+            ~scale:spec.Spool.scale path campaign
+        else Ok 0
       in
-      match ledger_failed with
-      | Some e ->
-          finish (Spool.Finished 3) 3
-            (Printf.sprintf "campaign aborted: ledger %s: %s"
-               (Spool.ledger_path dir) e)
-      | None ->
-          let exit_code =
-            if summary.S.Supervisor.completed = 0 then 3
-            else if summary.S.Supervisor.completed < spec.Spool.min_n then 2
-            else 0
-          in
-          finish (Spool.Finished exit_code) exit_code
-            (S.Report.campaign_line summary)
+      match appended with
+      | Error e ->
+          finish 3 (Printf.sprintf "campaign aborted: ledger %s: %s" path e)
+      | Ok _ ->
+          let summary = S.Supervisor.summarize campaign in
+          finish
+            (S.Supervisor.exit_code ~min_n:spec.Spool.min_n summary)
+            (S.Report.campaign_line summary))

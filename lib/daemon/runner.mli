@@ -10,6 +10,13 @@
     ({!Stabilizer.Parallel} reports results in run order), which is the
     determinism invariant the whole daemon rests on.
 
+    A campaign ends with its result record, not with an event: the
+    runner writes the spool result ({!Spool.write_result}, storage
+    faults disarmed) carrying the exit code and summary line, then
+    exits {!exit_finished}; the daemon reads that record when the event
+    pipe reaches EOF. A spec {!Spool.resolve} rejects ends the same way,
+    with exit code 3.
+
     Degradation contract: a [Stop] grant (drain or cancel) makes the
     runner exit {!exit_stopped} at the next batch boundary with the
     campaign durably checkpointed; EOF on the grant pipe (the daemon
@@ -25,9 +32,6 @@ type event =
   | Want of int  (** blocked at a batch boundary, wants up to [n] slots *)
   | Freed of int  (** a batch finished; its slots are free again *)
   | Progress of { run : int; line : string }  (** one finished run, in run order *)
-  | Finished of { exit_code : int; line : string }
-      (** terminal: the campaign's [szc campaign] exit code and
-          one-line summary; the result record is already durable *)
 
 (** Daemon → runner, over the grant pipe. *)
 type grant = Grant of int | Stop

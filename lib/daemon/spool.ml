@@ -91,7 +91,14 @@ let spec_of_json j =
       trace;
     }
 
-let validate s =
+type resolved = {
+  workload : Stz_workloads.Profile.t;
+  level : Stz_vm.Opt.level;
+  profile : Stz_faults.Fault.profile;
+  storage : Stz_faults.Storage.profile;
+}
+
+let resolve s =
   let* () =
     if s.runs >= 1 then Ok ()
     else Error (Printf.sprintf "runs must be >= 1 (got %d)" s.runs)
@@ -104,18 +111,21 @@ let validate s =
     if s.scale > 0.0 && Float.is_finite s.scale then Ok ()
     else Error "scale must be a positive finite float"
   in
-  let* () =
+  let* workload =
     match Stz_workloads.Spec.find s.bench with
-    | Some _ -> Ok ()
+    | Some p -> Ok (Stz_workloads.Profile.scale s.scale p)
     | None -> Error (Printf.sprintf "unknown benchmark %S" s.bench)
   in
-  let* () =
-    match Stz_vm.Opt.level_of_string s.opt with
-    | Some _ -> Ok ()
-    | None -> Error (Printf.sprintf "unknown optimization level %S" s.opt)
+  let* level =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown optimization level %S" s.opt)
+      (Stz_vm.Opt.level_of_string s.opt)
   in
-  let* () = Result.map ignore (Stz_faults.Fault.profile_of_string s.faults) in
-  Result.map ignore (Stz_faults.Storage.profile_of_string s.storage_faults)
+  let* profile = Stz_faults.Fault.profile_of_string s.faults in
+  let* storage = Stz_faults.Storage.profile_of_string s.storage_faults in
+  Ok { workload; level; profile; storage }
+
+let validate s = Result.map ignore (resolve s)
 
 let token_ok t =
   let n = String.length t in
@@ -169,14 +179,16 @@ let read_manifest ~dir =
   in
   Result.bind (Json.of_string payload) spec_of_json
 
-type outcome = Finished of int | Cancelled
+type outcome = Finished of { exit_code : int; line : string } | Cancelled
 
 let outcome_state = function Finished _ -> "finished" | Cancelled -> "cancelled"
 
 let write_result ~dir outcome =
   let payload =
     match outcome with
-    | Finished code -> Printf.sprintf "state finished\nexit_code %d\n" code
+    | Finished { exit_code; line } ->
+        Printf.sprintf "state finished\nexit_code %d\nline %s\n" exit_code
+          (Stz_store.Log.Kv.sanitize line)
     | Cancelled -> "state cancelled\n"
   in
   Artifact.write_records (result_path dir) ~kind:result_kind
@@ -192,7 +204,13 @@ let read_result ~dir =
   | Ok "cancelled" -> Ok Cancelled
   | Ok "finished" -> (
       match Stz_store.Log.Kv.num kv "exit_code" int_of_string_opt with
-      | Ok code -> Ok (Finished code)
+      | Ok exit_code ->
+          (* A result written before summaries were stored has no line. *)
+          let line =
+            Result.value ~default:"campaign finished"
+              (Stz_store.Log.Kv.str kv "line")
+          in
+          Ok (Finished { exit_code; line })
       | Error _ -> Error "result: malformed exit_code")
   | _ -> Error "result: malformed state"
 
@@ -200,6 +218,14 @@ let completed_runs ~dir =
   match Stabilizer.Supervisor.load (checkpoint_path dir) with
   | Ok c -> List.length c.Stabilizer.Supervisor.records
   | Error _ -> 0
+
+let progress ~dir =
+  match Stabilizer.Supervisor.recover (checkpoint_path dir) with
+  | Ok (c, _) ->
+      List.map
+        (fun r -> (r.Stabilizer.Supervisor.run, Stabilizer.Report.run_line r))
+        c.Stabilizer.Supervisor.records
+  | Error _ -> []
 
 (* The pid file is advisory scratch state, not an artifact: a plain
    write is fine because the worst a torn pid file can cause is a

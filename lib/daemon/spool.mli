@@ -14,7 +14,7 @@
 
 (** What one campaign runs: the subset of [szc campaign] options a
     manifest can carry. [opt] and [faults] / [storage_faults] are kept
-    in their CLI string spellings and validated by {!validate}. *)
+    in their CLI string spellings and parsed by {!resolve}. *)
 type spec = {
   bench : string;
   runs : int;
@@ -38,8 +38,20 @@ val spec_to_json : spec -> Stz_telemetry.Json.t
 
 val spec_of_json : Stz_telemetry.Json.t -> (spec, string) result
 
-(** Reject anything a runner could not execute: unknown benchmark,
-    unparsable option strings, non-positive runs. *)
+(** A spec's strings parsed into what the runner executes. *)
+type resolved = {
+  workload : Stz_workloads.Profile.t;  (** the benchmark, scaled *)
+  level : Stz_vm.Opt.level;
+  profile : Stz_faults.Fault.profile;
+  storage : Stz_faults.Storage.profile;
+}
+
+(** Parse a spec into what a runner executes, or the first reason it
+    cannot run one (bad runs, retries, min_n or scale, unknown
+    benchmark, unparsable option strings). *)
+val resolve : spec -> (resolved, string) result
+
+(** {!resolve} with the result ignored. *)
 val validate : spec -> (unit, string) result
 
 val token_ok : string -> bool
@@ -62,8 +74,9 @@ val read_manifest : dir:string -> (spec, string) result
 
 (** How a campaign ended. [Finished] carries the [szc campaign] exit
     code (0 verdict-capable, 2 insufficient uncensored runs, 3
-    aborted). *)
-type outcome = Finished of int | Cancelled
+    aborted) and the summary line its stream ends with; a result
+    written without a line reads back as ["campaign finished"]. *)
+type outcome = Finished of { exit_code : int; line : string } | Cancelled
 
 val outcome_state : outcome -> string
 val write_result : dir:string -> outcome -> unit
@@ -74,6 +87,11 @@ val read_result : dir:string -> (outcome, string) result
     progress count for a campaign with no live runner — an aborted
     campaign reports what it actually ran, not its plan. *)
 val completed_runs : dir:string -> int
+
+(** [(run, progress line)] for each run in the checkpoint's longest
+    valid prefix ({!Stabilizer.Supervisor.recover}), in run order; [[]]
+    when nothing survives. *)
+val progress : dir:string -> (int * string) list
 
 (** The runner's pid file — advisory, for stale-runner cleanup on
     daemon restart; never trusted further than a [kill]. *)

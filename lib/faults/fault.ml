@@ -87,11 +87,10 @@ let chaos =
 let named =
   [ ("none", none); ("light", light); ("heavy", heavy); ("chaos", chaos) ]
 
-let profile_of_string s =
+let parse_profile ~what ~named ~none ~keys s =
   match List.assoc_opt s named with
   | Some p -> Ok p
   | None ->
-      let parts = String.split_on_char ',' s in
       List.fold_left
         (fun acc part ->
           Result.bind acc (fun p ->
@@ -102,24 +101,31 @@ let profile_of_string s =
                   | Some f when f < 0.0 || f > 1.0 ->
                       Error (Printf.sprintf "probability %g outside [0,1]" f)
                   | Some f -> (
-                      match key with
-                      | "fuel" -> Ok { p with fuel_starvation = f }
-                      | "depth" -> Ok { p with depth_blowout = f }
-                      | "oom" -> Ok { p with alloc_failure = f }
-                      | "preempt" -> Ok { p with preemption_spike = f }
-                      | "poison" -> Ok { p with seed_poisoning = f }
-                      | "wedge" -> Ok { p with wedge = f }
-                      | _ ->
+                      match List.assoc_opt key keys with
+                      | Some set -> Ok (set p f)
+                      | None ->
                           Error
-                            (Printf.sprintf
-                               "unknown fault key %S (fuel, depth, oom, \
-                                preempt, poison, wedge)"
-                               key)))
+                            (Printf.sprintf "unknown %s key %S (%s)" what key
+                               (String.concat ", " (List.map fst keys)))))
               | _ ->
                   Error
                     (Printf.sprintf
-                       "bad fault spec %S; want a preset or key=prob list" part)))
-        (Ok none) parts
+                       "bad %s spec %S; want a preset or key=prob list" what
+                       part)))
+        (Ok none)
+        (String.split_on_char ',' s)
+
+let profile_of_string =
+  parse_profile ~what:"fault" ~named ~none
+    ~keys:
+      [
+        ("fuel", fun p f -> { p with fuel_starvation = f });
+        ("depth", fun p f -> { p with depth_blowout = f });
+        ("oom", fun p f -> { p with alloc_failure = f });
+        ("preempt", fun p f -> { p with preemption_spike = f });
+        ("poison", fun p f -> { p with seed_poisoning = f });
+        ("wedge", fun p f -> { p with wedge = f });
+      ]
 
 let fingerprint p =
   Printf.sprintf

@@ -65,6 +65,18 @@ val named : (string * profile) list
     starting from {!none}. *)
 val profile_of_string : string -> (profile, string) result
 
+(** The [key=prob] parser behind both fault-profile spellings: [s] is
+    a preset from [named] or a comma-separated list folded over [none],
+    each key applied through its setter in [keys]. Errors name [what]
+    (["fault"], ["storage fault"]) and list the keys in order. *)
+val parse_profile :
+  what:string ->
+  named:(string * 'p) list ->
+  none:'p ->
+  keys:(string * ('p -> float -> 'p)) list ->
+  string ->
+  ('p, string) result
+
 (** Stable fingerprint of a profile, stored in checkpoints so a resumed
     campaign refuses to continue under different fault assumptions. *)
 val fingerprint : profile -> string

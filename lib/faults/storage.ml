@@ -23,39 +23,15 @@ let chaos =
 let named =
   [ ("none", none); ("light", light); ("heavy", heavy); ("chaos", chaos) ]
 
-let profile_of_string s =
-  match List.assoc_opt s named with
-  | Some p -> Ok p
-  | None ->
-      let parts = String.split_on_char ',' s in
-      List.fold_left
-        (fun acc part ->
-          Result.bind acc (fun p ->
-              match String.split_on_char '=' (String.trim part) with
-              | [ key; v ] -> (
-                  match float_of_string_opt v with
-                  | None -> Error (Printf.sprintf "bad probability %S" v)
-                  | Some f when f < 0.0 || f > 1.0 ->
-                      Error (Printf.sprintf "probability %g outside [0,1]" f)
-                  | Some f -> (
-                      match key with
-                      | "torn" -> Ok { p with torn_write = f }
-                      | "flip" -> Ok { p with bit_flip = f }
-                      | "short" -> Ok { p with short_write = f }
-                      | "rename" -> Ok { p with rename_dropped = f }
-                      | _ ->
-                          Error
-                            (Printf.sprintf
-                               "unknown storage fault key %S (torn, flip, \
-                                short, rename)"
-                               key)))
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "bad storage fault spec %S; want a preset or key=prob \
-                        list"
-                       part)))
-        (Ok none) parts
+let profile_of_string =
+  Fault.parse_profile ~what:"storage fault" ~named ~none
+    ~keys:
+      [
+        ("torn", fun p f -> { p with torn_write = f });
+        ("flip", fun p f -> { p with bit_flip = f });
+        ("short", fun p f -> { p with short_write = f });
+        ("rename", fun p f -> { p with rename_dropped = f });
+      ]
 
 let fingerprint p =
   Printf.sprintf "torn=%g,flip=%g,short=%g,rename=%g" p.torn_write p.bit_flip

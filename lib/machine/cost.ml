@@ -22,5 +22,3 @@ let default =
     mul = 2;
     div = 20;
   }
-
-let cycles_per_ms = 3_200_000

@@ -16,6 +16,3 @@ type t = {
 }
 
 val default : t
-
-(** Simulated core clock in cycles per millisecond (3.2 GHz). *)
-val cycles_per_ms : int

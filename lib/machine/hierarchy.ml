@@ -142,7 +142,6 @@ let branch t ~pc ~taken =
   end
 
 let charge t n = t.cycles <- t.cycles + n
-let retire t = t.instructions <- t.instructions + 1
 let cycles t = t.cycles
 let cost t = t.cost
 

@@ -73,9 +73,6 @@ val branch : t -> pc:int -> taken:bool -> int
 (** Extra cycles charged explicitly (e.g. mul/div, runtime costs). *)
 val charge : t -> int -> unit
 
-(** Count one retired instruction (statistics only). *)
-val retire : t -> unit
-
 val cycles : t -> int
 val counters : t -> counters
 

@@ -12,7 +12,6 @@ let create ?(k = 0.5) ?(h = 5.0) () =
   { k; h; reference = None; pos = 0.0; neg = 0.0; alarmed = false; observations = 0 }
 
 let set_reference t ~mean ~sd = t.reference <- Some (mean, sd)
-let has_reference t = t.reference <> None
 
 let observe t x =
   t.observations <- t.observations + 1;

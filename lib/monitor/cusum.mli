@@ -20,7 +20,6 @@ val create : ?k:float -> ?h:float -> unit -> t
     threshold, so a single drifted observation alarms. *)
 val set_reference : t -> mean:float -> sd:float -> unit
 
-val has_reference : t -> bool
 val observe : t -> float -> unit
 
 (** Upper / lower cumulative sums, in sd units. *)

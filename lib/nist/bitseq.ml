@@ -19,11 +19,6 @@ let of_int_array a =
   Array.iteri (fun i v -> set t i (v land 1)) a;
   t
 
-let of_bool_list l =
-  let t = create (List.length l) in
-  List.iteri (fun i b -> set t i (if b then 1 else 0)) l;
-  t
-
 let of_words ~bits_per_word words =
   if bits_per_word < 1 || bits_per_word > 62 then
     invalid_arg "Bitseq.of_words: bits_per_word must be in [1,62]";

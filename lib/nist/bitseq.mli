@@ -12,9 +12,6 @@ val get : t -> int -> int
 
 val of_int_array : int array -> t
 
-(** [of_bool_list] builds from a list of bits. *)
-val of_bool_list : bool list -> t
-
 (** [of_words ~bits_per_word words] takes the low [bits_per_word] bits
     of each word, most significant first. *)
 val of_words : bits_per_word:int -> int array -> t

@@ -3,13 +3,7 @@ module Welford = Stz_monitor.Welford
 module Effect = Stz_stats.Effect
 module Power = Stz_stats.Power
 
-let fingerprint ~bench ~opt ~scale (c : Supervisor.campaign) =
-  Printf.sprintf "%s|%s|%h|%s|%s" bench
-    (Stz_vm.Opt.level_to_string opt)
-    scale c.Supervisor.config_desc c.Supervisor.profile_fp
-
-let entry_of_campaign ?(verdict = "-") ~label ~fingerprint
-    (c : Supervisor.campaign) =
+let append ?monitor ~bench ~opt ~scale path (c : Supervisor.campaign) =
   let w = Welford.create () in
   List.iter
     (fun (r : Supervisor.record) ->
@@ -18,23 +12,31 @@ let entry_of_campaign ?(verdict = "-") ~label ~fingerprint
       | _ -> ())
     c.Supervisor.records;
   let completed = Welford.count w in
-  {
-    Ledger.label;
-    fingerprint;
-    base_seed = c.Supervisor.base_seed;
-    runs = c.Supervisor.runs;
-    completed;
-    censored = List.length c.Supervisor.records - completed;
-    mean = Welford.mean w;
-    sd = Welford.std_dev w;
-    min = Welford.min w;
-    max = Welford.max w;
-    skewness = Welford.skewness w;
-    kurtosis = Welford.kurtosis w;
-    detectable_effect =
-      (if completed < 1 then 0.0 else Power.detectable_effect ~n:completed ());
-    verdict;
-  }
+  Ledger.append path
+    {
+      Ledger.label = bench;
+      fingerprint =
+        Printf.sprintf "%s|%s|%h|%s|%s" bench
+          (Stz_vm.Opt.level_to_string opt)
+          scale c.Supervisor.config_desc c.Supervisor.profile_fp;
+      base_seed = c.Supervisor.base_seed;
+      runs = c.Supervisor.runs;
+      completed;
+      censored = List.length c.Supervisor.records - completed;
+      mean = Welford.mean w;
+      sd = Welford.std_dev w;
+      min = Welford.min w;
+      max = Welford.max w;
+      skewness = Welford.skewness w;
+      kurtosis = Welford.kurtosis w;
+      detectable_effect =
+        (if completed < 1 then 0.0 else Power.detectable_effect ~n:completed ());
+      verdict =
+        (match monitor with
+        | Some m ->
+            Stz_monitor.Monitor.verdict_to_string (Stz_monitor.Monitor.advise m)
+        | None -> "-");
+    }
 
 type decision = No_regression | Regression | Improvement | Not_comparable of string
 

@@ -1,5 +1,5 @@
 (** Bridge between finished campaigns and the cross-campaign
-    regression history ({!Stz_store.Ledger}): builds one ledger entry
+    regression history ({!Stz_store.Ledger}): appends one ledger entry
     per campaign, and decides — from ledger entries alone — whether the
     latest campaign regressed against its baseline, using effect-size
     confidence intervals (Kalibera & Jones: report effect sizes with
@@ -10,26 +10,30 @@
     ledger record bit-identical to an uninterrupted one), and the
     regression decision is a pure function of two entries. *)
 
-(** [fingerprint ~bench ~opt ~scale c]: the full configuration identity
-    of a campaign — benchmark, optimization level, workload scale,
-    randomization config and fault profile. Two campaigns with equal
-    fingerprints measured the same thing; two with equal [bench] labels
-    measure comparable workloads (e.g. the same benchmark at O1 vs
-    O2). *)
-val fingerprint :
-  bench:string -> opt:Stz_vm.Opt.level -> scale:float -> Supervisor.campaign -> string
+(** [append ?monitor ~bench ~opt ~scale path c] appends the ledger
+    entry of a finished campaign to the history ledger at [path]
+    ({!Stz_store.Ledger.append}: the new entry's sequence number, or
+    why the ledger refused it). [szc campaign --ledger] and the [szcd]
+    runner both call it, so a tenant's ledger is byte-identical to a
+    solo run's.
 
-(** Build the ledger entry for a finished campaign. Moments are
-    computed with streaming (Welford) estimators over completed-run
-    times in run order — the same numbers the live monitor converges
-    to. [verdict] records the monitor's final stopping verdict
-    (defaults to ["-"] for unmonitored campaigns). *)
-val entry_of_campaign :
-  ?verdict:string ->
-  label:string ->
-  fingerprint:string ->
+    The entry is labelled [bench]; its fingerprint is the campaign's
+    full configuration identity — benchmark, optimization level,
+    workload scale, randomization config and fault profile. Two
+    campaigns with equal fingerprints measured the same thing; two with
+    equal labels measure comparable workloads (e.g. the same benchmark
+    at O1 vs O2). Moments are computed with streaming (Welford)
+    estimators over completed-run times in run order — the same numbers
+    the live monitor converges to. The verdict is [monitor]'s final
+    stopping verdict, or ["-"] for an unmonitored campaign. *)
+val append :
+  ?monitor:Stz_monitor.Monitor.t ->
+  bench:string ->
+  opt:Stz_vm.Opt.level ->
+  scale:float ->
+  string ->
   Supervisor.campaign ->
-  Stz_store.Ledger.entry
+  (int, string) result
 
 type decision =
   | No_regression  (** CI does not confirm a slowdown *)

@@ -23,13 +23,6 @@ type t = {
   outcomes : (int64 * Outcome.run_outcome) array;
 }
 
-let failure_kind_to_string = function
-  | Faulted c -> Fault.class_to_string c
-  | Budget_exceeded -> "budget-exceeded"
-  | Invalid_result -> "invalid-result"
-  | Worker_lost -> "worker-lost"
-  | Worker_hung -> "worker-hung"
-
 let seeds ~base_seed ~runs =
   let g = Stz_prng.Splitmix.create base_seed in
   Array.init runs (fun _ -> Stz_prng.Splitmix.split g)

@@ -54,8 +54,6 @@ type t = {
           in run order — what trace/metrics rollups consume *)
 }
 
-val failure_kind_to_string : failure_kind -> string
-
 (** [events] forwards to {!Runtime.run}, populating each result's
     telemetry stream; [profiled] likewise enables the per-function
     profiler. Both default to off. *)

@@ -1061,5 +1061,8 @@ let summarize c =
     retry_histogram;
   }
 
+let exit_code ~min_n s =
+  if s.completed = 0 then 3 else if s.completed < min_n then 2 else 0
+
 let verdict ?alpha ~min_n a b =
   Experiment.compare_samples_gated ?alpha ~min_n (times a) (times b)

@@ -188,6 +188,12 @@ val times : campaign -> float array
 
 val summarize : campaign -> summary
 
+(** The [szc campaign] exit code of a finished campaign's summary: 3
+    when every run was censored, 2 when fewer than [min_n] runs
+    completed (no verdict possible), else 0. [szcd] reports the same
+    code for a tenant's campaign. *)
+val exit_code : min_n:int -> summary -> int
+
 (** Min-N-gated comparison of two campaigns' samples (§6 procedure with
     the censoring gate in front). *)
 val verdict :

@@ -49,16 +49,6 @@ let counter t ?(cat = "") name ~values ~now =
   check_clock t ~now;
   t.events_rev <- Event.Counter { name; cat; lane = 0; ts = now; values } :: t.events_rev
 
-(* Pre-built run-local events (e.g. a nested runtime's stream) dropped
-   in at an offset; no interaction with the span stack. *)
-let splice t ~offset events =
-  List.iter
-    (fun e ->
-      let e = Event.shift ~lane:0 ~by:offset e in
-      t.last_ts <- max t.last_ts (Event.ts e);
-      t.events_rev <- e :: t.events_rev)
-    events
-
 let depth t = List.length t.stack
 
 let close t ~now = while t.stack <> [] do end_span t ~now done

@@ -25,10 +25,6 @@ val end_span : ?args:Event.args -> t -> now:int -> unit
 val instant : t -> ?cat:string -> ?args:Event.args -> string -> now:int -> unit
 val counter : t -> ?cat:string -> string -> values:(string * int) list -> now:int -> unit
 
-(** Insert pre-built run-local events, timestamps advanced by [offset].
-    Does not touch the span stack. *)
-val splice : t -> offset:int -> Event.t list -> unit
-
 (** Open spans right now. *)
 val depth : t -> int
 

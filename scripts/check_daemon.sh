@@ -15,9 +15,11 @@
 #      checkpoint (storage faults disarmed, as `--resume` after a
 #      crash does), and the waiting clients re-attach and follow each
 #      campaign to exit 0;
-#   5. every tenant's CSV, checkpoint and ledger must be byte-identical
+#   5. every client's progress feed lists each run exactly once, in
+#      order, across the crash;
+#   6. every tenant's CSV, checkpoint and ledger must be byte-identical
 #      (`cmp`) to its solo reference;
-#   6. SIGTERM the daemon and demand a clean drain (exit 0).
+#   7. SIGTERM the daemon and demand a clean drain (exit 0).
 #
 # The ops plane rides along the whole way: the daemon runs with
 # --oplog and --ops-export, `szc remote top --once --raw` scrapes a
@@ -41,12 +43,12 @@ spool="$outdir/spool"
 rm -rf "$spool" "$sock"
 
 runs=40
-common="bzip2 --runs $runs --scale 0.05 --faults light --quiet"
+common="bzip2 --runs $runs --scale 0.05 --faults light"
 
 echo "== solo reference campaigns, one per tenant"
 for s in 1 2 3; do
   seed=$((100 + s))
-  $SZC campaign $common --seed "$seed" \
+  $SZC campaign $common --quiet --seed "$seed" \
     --csv "$outdir/solo-t$s.csv" \
     --checkpoint "$outdir/solo-t$s.ck" \
     --ledger "$outdir/solo-t$s.ledger"
@@ -167,6 +169,19 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "all three clients converged to exit 0 across the daemon crash"
+
+echo "== every client's progress feed: run 0 .. run $((runs - 1)), once each, in order"
+for s in 1 2 3; do
+  if ! awk -v runs="$runs" '
+    /^run +[0-9]+:/ { n = $2; sub(/:$/, "", n); if (n + 0 != next_run) bad = 1; next_run++ }
+    END { exit (bad || next_run != runs) }
+  ' "$outdir/client-t$s.log"; then
+    echo "t$s: progress feed has a gap, a repeat or a reordering"
+    cat "$outdir/client-t$s.log"
+    exit 1
+  fi
+  echo "t$s progress feed: every run exactly once, in order"
+done
 
 echo "== per-tenant artifacts byte-identical to the solo references"
 for s in 1 2 3; do

@@ -21,7 +21,12 @@ let deadline_in s = Unix.gettimeofday () +. s
 (* Daemon lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type daemon = { pid : int; socket : string; spool : string; root : string }
+type daemon = {
+  mutable pid : int;  (** the current daemon; see [restart_daemon] *)
+  socket : string;
+  spool : string;
+  root : string;
+}
 
 (* Scratch roots live under the system temp dir so an interrupted run
    never litters the repo; fall back to a repo-relative path only when
@@ -32,12 +37,7 @@ let test_root name =
   let tmp = Filename.concat (Filename.get_temp_dir_name ()) base in
   if String.length tmp + String.length "/d.sock" <= 100 then tmp else base
 
-let start_daemon ?(extra = []) ?(slots = 4) name =
-  let root = test_root name in
-  rm_rf root;
-  Unix.mkdir root 0o755;
-  let socket = Filename.concat root "d.sock" in
-  let spool = Filename.concat root "spool" in
+let spawn_szcd ?(extra = []) ?(slots = 4) ~socket ~spool () =
   let argv =
     Array.of_list
       ([
@@ -46,8 +46,16 @@ let start_daemon ?(extra = []) ?(slots = 4) name =
        ]
       @ extra)
   in
+  Unix.create_process szcd_exe argv Unix.stdin Unix.stdout Unix.stderr
+
+let start_daemon ?extra ?slots name =
+  let root = test_root name in
+  rm_rf root;
+  Unix.mkdir root 0o755;
+  let socket = Filename.concat root "d.sock" in
+  let spool = Filename.concat root "spool" in
   let pid =
-    try Unix.create_process szcd_exe argv Unix.stdin Unix.stdout Unix.stderr
+    try spawn_szcd ?extra ?slots ~socket ~spool ()
     with e ->
       rm_rf root;
       raise e
@@ -85,6 +93,12 @@ let stop_daemon d =
   in
   wait 300
 
+(* A successor to a daemon that has exited (drained or killed): same
+   socket, same spool, default options. *)
+let restart_daemon d =
+  d.pid <- spawn_szcd ~socket:d.socket ~spool:d.spool ();
+  wait_ready d
+
 let check_clean_drain stop =
   match stop () with
   | Unix.WEXITED 0 -> ()
@@ -94,22 +108,18 @@ let check_clean_drain stop =
 
 let with_daemon ?extra ?slots name f =
   let d = start_daemon ?extra ?slots name in
-  let stopped = ref false in
-  let stop () =
-    let st = stop_daemon d in
-    stopped := true;
-    st
-  in
   Fun.protect
     ~finally:(fun () ->
-      if not !stopped then begin
-        (try Unix.kill d.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] d.pid) with Unix.Unix_error _ -> ())
-      end;
+      (* Kill the current daemon unless it has already been reaped. *)
+      (match Unix.waitpid [ Unix.WNOHANG ] d.pid with
+      | 0, _ ->
+          (try Unix.kill d.pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] d.pid)
+      | _ | (exception Unix.Unix_error _) -> ());
       rm_rf d.root)
     (fun () ->
       wait_ready d;
-      f d stop)
+      f d (fun () -> stop_daemon d))
 
 let connect_ok d ~deadline ~seed =
   match Client.connect ~socket:d.socket ~deadline ~seed () with
@@ -434,22 +444,47 @@ let three_tenants_match_solo () =
 (* Detach / reattach                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Every run [Client.attach] reports from [from_run] on, in order, and
+   the exit code and summary line the campaign ends with. *)
+let attach_runs d ~deadline ~seed ~id ~from_run =
+  let runs = ref [] in
+  match
+    Client.attach ~socket:d.socket ~deadline ~seed ~tenant:"t1" ~id ~from_run
+      ~progress:(fun run _ -> runs := run :: !runs)
+  with
+  | Ok (code, line) -> (List.rev !runs, code, line)
+  | Error e -> Alcotest.failf "attach %s: %s" id e
+
+let completed_runs d ~deadline ~id =
+  let t = connect_ok d ~deadline ~seed:11L in
+  Fun.protect
+    ~finally:(fun () -> Client.close t)
+    (fun () ->
+      match Client.rpc t ~deadline (Protocol.Status { tenant = "t1"; id }) with
+      | Ok (Protocol.Status_is { completed; _ }) -> completed
+      | Ok _ -> Alcotest.fail "expected status-is"
+      | Error e -> Alcotest.failf "status: %s" e)
+
 let detach_then_reattach () =
   with_daemon "detach" (fun d stop ->
-      let deadline = deadline_in 60.0 in
+      let deadline = deadline_in 120.0 in
       let runs = 30 in
-      let spec = spec_for ~seed:7 ~runs in
+      let all_runs = List.init runs Fun.id in
+      let submit ~id ~seed =
+        let t = connect_ok d ~deadline ~seed:(Int64.of_int seed) in
+        (match
+           Client.rpc t ~deadline
+             (Protocol.Submit { tenant = "t1"; id; spec = spec_for ~seed ~runs })
+         with
+        | Ok (Protocol.Accepted _) -> ()
+        | Ok _ -> Alcotest.fail "submit not accepted"
+        | Error e -> Alcotest.failf "submit: %s" e);
+        t
+      in
       let seen = Array.make runs 0 in
       (* Session one: submit, stream, watch a few runs, vanish without
          so much as a goodbye. *)
-      let t = connect_ok d ~deadline ~seed:7L in
-      (match
-         Client.rpc t ~deadline
-           (Protocol.Submit { tenant = "t1"; id = "c"; spec })
-       with
-      | Ok (Protocol.Accepted _) -> ()
-      | Ok _ -> Alcotest.fail "submit not accepted"
-      | Error e -> Alcotest.failf "submit: %s" e);
+      let t = submit ~id:"c" ~seed:7 in
       (match
          Client.send t (Protocol.Stream { tenant = "t1"; id = "c"; from_run = 0 })
        with
@@ -472,7 +507,7 @@ let detach_then_reattach () =
         first 0
       in
       let t2 = connect_ok d ~deadline ~seed:8L in
-      let exit_code =
+      let exit_code, summary =
         Fun.protect
           ~finally:(fun () -> Client.close t2)
           (fun () ->
@@ -487,7 +522,7 @@ let detach_then_reattach () =
               | Ok (Protocol.Progress { run; _ }) ->
                   seen.(run) <- seen.(run) + 1;
                   follow ()
-              | Ok (Protocol.Summary { exit_code; _ }) -> exit_code
+              | Ok (Protocol.Summary { exit_code; line }) -> (exit_code, line)
               | Ok Protocol.Cancelled -> Alcotest.fail "spuriously cancelled"
               | Ok (Protocol.Rejected { reason }) ->
                   Alcotest.failf "reattach rejected: %s" reason
@@ -504,17 +539,75 @@ let detach_then_reattach () =
       (* Attaching to the finished campaign from run k replays exactly
          runs k.. and returns its exit code. *)
       let k = 17 in
-      let replayed = ref [] in
-      (match
-         Client.attach ~socket:d.socket ~deadline ~seed:9L ~tenant:"t1"
-           ~id:"c" ~from_run:k
-           ~progress:(fun run _ -> replayed := run :: !replayed)
-       with
-      | Ok (code, _) -> check_int "attach returns the exit code" 0 code
-      | Error e -> Alcotest.failf "attach: %s" e);
+      let replayed, code, _ = attach_runs d ~deadline ~seed:9L ~id:"c" ~from_run:k in
+      check_int "attach returns the exit code" 0 code;
       check_bool "attach replays exactly runs >= k" true
-        (List.rev !replayed = List.init (runs - k) (fun i -> k + i));
+        (replayed = List.init (runs - k) (fun i -> k + i));
+      (* A successor daemon on the same spool still replays the whole
+         feed, from the checkpoint, and the summary line the live
+         stream ended with. *)
+      check_clean_drain stop;
+      restart_daemon d;
+      let replayed, code, line =
+        attach_runs d ~deadline ~seed:10L ~id:"c" ~from_run:0
+      in
+      check_int "exit code survives a restart" 0 code;
+      check_string "summary line survives a restart" summary line;
+      check_bool "restart replays runs 0.. exactly once" true
+        (replayed = all_runs);
+      (* Mid-campaign SIGKILL: the successor counts the checkpointed
+         runs and still streams every run exactly once. *)
+      Client.close (submit ~id:"c2" ~seed:8);
+      let rec progress_at_least n =
+        let c = completed_runs d ~deadline ~id:"c2" in
+        if c >= n then c
+        else begin
+          Unix.sleepf 0.02;
+          progress_at_least n
+        end
+      in
+      let before = progress_at_least 3 in
+      Unix.kill d.pid Sys.sigkill;
+      ignore (Unix.waitpid [] d.pid);
+      restart_daemon d;
+      let after = completed_runs d ~deadline ~id:"c2" in
+      check_bool
+        (Printf.sprintf "status after restart counts checkpointed runs (%d >= %d)"
+           after before)
+        true (after >= before);
+      let replayed, code, _ =
+        attach_runs d ~deadline ~seed:12L ~id:"c2" ~from_run:0
+      in
+      check_int "killed campaign exits 0" 0 code;
+      check_bool "killed campaign streams runs 0.. exactly once" true
+        (replayed = all_runs);
       check_clean_drain stop)
+
+(* The result record keeps a campaign's summary line (newlines become
+   spaces); a record written before lines were stored reads back with
+   the generic one. *)
+let result_record_keeps_line () =
+  let dir = test_root "result" in
+  rm_rf dir;
+  Stz_store.Artifact.mkdir_p dir;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Spool.write_result ~dir
+        (Spool.Finished { exit_code = 2; line = "runs 1/4,\nno verdict" });
+      (match Spool.read_result ~dir with
+      | Ok (Spool.Finished { exit_code; line }) ->
+          check_int "exit code" 2 exit_code;
+          check_string "summary line" "runs 1/4, no verdict" line
+      | _ -> Alcotest.fail "result record unreadable");
+      Stz_store.Artifact.write_records (Spool.result_path dir)
+        ~kind:"szc-result"
+        [ ("result", "state finished\nexit_code 0\n") ];
+      match Spool.read_result ~dir with
+      | Ok (Spool.Finished { exit_code; line }) ->
+          check_int "old record: exit code" 0 exit_code;
+          check_string "old record: generic line" "campaign finished" line
+      | _ -> Alcotest.fail "old result record unreadable")
 
 (* A history ledger that cannot be appended to aborts the campaign with
    exit 3 — from szc and from szcd alike — and keeps the artifacts
@@ -822,6 +915,8 @@ let () =
             detach_then_reattach;
           Alcotest.test_case "bad ledger exits 3 in szc and szcd" `Quick
             unappendable_ledger_exits_3;
+          Alcotest.test_case "result record keeps the summary line" `Quick
+            result_record_keeps_line;
         ] );
       ( "ops",
         [
