@@ -22,27 +22,51 @@ type attrib = {
 
 type t = {
   cfg : config;
+  line_bits : int;
+  set_mask : int;  (** sets - 1 *)
+  ways : int;
   tags : int array;  (** sets * ways; -1 = invalid *)
   stamps : int array;  (** LRU timestamps, parallel to [tags] *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
+  mutable last_line : int;  (** line of the previous access; -1 = none *)
+  mutable last_way : int;  (** the way the tag scan finds [last_line] at *)
   mutable attrib : attrib option;
 }
+
+(* No line has been accessed since the ways were invalidated. Line -1
+   is the invalid tag itself (reachable only with [line_bits = 0]); the
+   scan would find it at the first way of its set, so the memo points
+   there and stays exact for every address. *)
+let clear_memo t =
+  t.last_line <- -1;
+  t.last_way <- t.set_mask * t.ways
 
 let create cfg =
   if cfg.sets <= 0 || cfg.sets land (cfg.sets - 1) <> 0 then
     invalid_arg "Cache.create: sets must be a positive power of two";
   if cfg.ways <= 0 then invalid_arg "Cache.create: ways must be positive";
-  {
-    cfg;
-    tags = Array.make (cfg.sets * cfg.ways) (-1);
-    stamps = Array.make (cfg.sets * cfg.ways) 0;
-    clock = 0;
-    accesses = 0;
-    misses = 0;
-    attrib = None;
-  }
+  if cfg.line_bits < 0 || cfg.line_bits > 62 then
+    invalid_arg "Cache.create: line_bits must be in [0, 62]";
+  let t =
+    {
+      cfg;
+      line_bits = cfg.line_bits;
+      set_mask = cfg.sets - 1;
+      ways = cfg.ways;
+      tags = Array.make (cfg.sets * cfg.ways) (-1);
+      stamps = Array.make (cfg.sets * cfg.ways) 0;
+      clock = 0;
+      accesses = 0;
+      misses = 0;
+      last_line = -1;
+      last_way = 0;
+      attrib = None;
+    }
+  in
+  clear_memo t;
+  t
 
 let config t = t.cfg
 
@@ -76,66 +100,75 @@ let attrib_view t =
           evictions = Array.copy a.a_evictions;
         }
 
-let set_of t addr = (addr lsr t.cfg.line_bits) land (t.cfg.sets - 1)
-let tag_of t addr = addr lsr t.cfg.line_bits
+(* Recorder bookkeeping for a miss in [set] that installs into [victim];
+   runs before [tags] is overwritten so the evicted line is still
+   visible. A real eviction (valid victim line) installed by a
+   different function than the evictor is a cross-function conflict. *)
+let attrib_miss a tags set victim =
+  a.a_set_misses.(set) <- a.a_set_misses.(set) + 1;
+  let victim_owner = a.line_owner.(victim) in
+  if tags.(victim) <> -1 && victim_owner >= 0 && a.owner >= 0 && victim_owner <> a.owner
+  then begin
+    let k = (victim_owner * a.a_funcs) + a.owner in
+    a.a_evictions.(k) <- a.a_evictions.(k) + 1
+  end;
+  a.line_owner.(victim) <- a.owner
 
 let access t addr =
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let set = set_of t addr in
-  let tag = tag_of t addr in
-  let base = set * t.cfg.ways in
-  let hit = ref false in
-  let victim = ref base in
-  let oldest = ref max_int in
-  (try
-     for w = base to base + t.cfg.ways - 1 do
-       if t.tags.(w) = tag then begin
-         t.stamps.(w) <- t.clock;
-         hit := true;
-         raise Exit
-       end;
-       if t.stamps.(w) < !oldest then begin
-         oldest := t.stamps.(w);
-         victim := w
-       end
-     done
-   with Exit -> ());
-  (match t.attrib with
-  | None -> ()
-  | Some a ->
-      a.a_set_accesses.(set) <- a.a_set_accesses.(set) + 1;
-      if not !hit then begin
-        a.a_set_misses.(set) <- a.a_set_misses.(set) + 1;
-        (* A real eviction (valid victim line) installed by a different
-           function than the evictor is a cross-function conflict. The
-           matrix is read before [tags] is overwritten below. *)
-        let victim_owner = a.line_owner.(!victim) in
-        if
-          t.tags.(!victim) <> -1
-          && victim_owner >= 0
-          && a.owner >= 0
-          && victim_owner <> a.owner
-        then begin
-          let k = (victim_owner * a.a_funcs) + a.owner in
-          a.a_evictions.(k) <- a.a_evictions.(k) + 1
-        end;
-        a.line_owner.(!victim) <- a.owner
-      end);
-  if not !hit then begin
-    t.misses <- t.misses + 1;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock
-  end;
-  !hit
+  let clock = t.clock + 1 in
+  t.clock <- clock;
+  let line = addr lsr t.line_bits in
+  if line = t.last_line then begin
+    (* Nothing touched this cache since [line] was hit or filled at
+       [last_way], so it is still there: the scan would find it. *)
+    t.stamps.(t.last_way) <- clock;
+    (match t.attrib with
+    | None -> ()
+    | Some a ->
+        let set = line land t.set_mask in
+        a.a_set_accesses.(set) <- a.a_set_accesses.(set) + 1);
+    true
+  end
+  else begin
+    let set = line land t.set_mask in
+    let base = set * t.ways in
+    let stop = base + t.ways in
+    let tags = t.tags in
+    let w = ref base in
+    while !w < stop && tags.(!w) <> line do
+      incr w
+    done;
+    let hit = !w < stop in
+    if not hit then begin
+      (* LRU victim: the first way with the smallest stamp. *)
+      let stamps = t.stamps in
+      w := base;
+      for v = base + 1 to stop - 1 do
+        if stamps.(v) < stamps.(!w) then w := v
+      done
+    end;
+    (match t.attrib with
+    | None -> ()
+    | Some a ->
+        a.a_set_accesses.(set) <- a.a_set_accesses.(set) + 1;
+        if not hit then attrib_miss a tags set !w);
+    if not hit then begin
+      t.misses <- t.misses + 1;
+      tags.(!w) <- line
+    end;
+    t.stamps.(!w) <- clock;
+    t.last_line <- line;
+    t.last_way <- !w;
+    hit
+  end
 
 let probe t addr =
-  let set = set_of t addr in
-  let tag = tag_of t addr in
-  let base = set * t.cfg.ways in
+  let line = addr lsr t.line_bits in
+  let base = (line land t.set_mask) * t.ways in
   let found = ref false in
-  for w = base to base + t.cfg.ways - 1 do
-    if t.tags.(w) = tag then found := true
+  for w = base to base + t.ways - 1 do
+    if t.tags.(w) = line then found := true
   done;
   !found
 
@@ -144,12 +177,14 @@ let misses t = t.misses
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
+  clear_memo t;
   match t.attrib with
   | None -> ()
   | Some a -> Array.fill a.line_owner 0 (Array.length a.line_owner) (-1)
 
 let reset t =
   flush t;
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.accesses <- 0;
   t.misses <- 0;
   t.clock <- 0;

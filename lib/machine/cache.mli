@@ -14,11 +14,25 @@ type config = {
 
 type t
 
+(** Raises [Invalid_argument] naming [Cache.create] unless [sets] is a
+    positive power of two, [ways] is positive and [line_bits] is
+    between 0 and 62. *)
 val create : config -> t
 val config : t -> config
 
 (** [access t addr] touches the line containing [addr]; returns [true]
-    on hit. Misses fill the line (evicting the LRU way). *)
+    on hit. Every access stamps its way with the next value of a
+    per-cache clock. A miss fills the LRU way of the line's set: the
+    first way, in way order, with the smallest stamp. An invalid way
+    keeps the stamp it had, older than that of any line accessed
+    since, so the set fills its invalid ways before it evicts a line.
+
+    An access to the same line as this cache's previous access hits the
+    way that access used without scanning the set. The path is
+    transparent: nothing touched the cache in between, so the scan
+    would find the line in that same way, and the fast path stamps it
+    and counts the access exactly as the scan would. {!flush} and
+    {!reset} forget the previous line. *)
 val access : t -> int -> bool
 
 (** [probe t addr] is [true] if the line is resident; no state change. *)
@@ -27,7 +41,10 @@ val probe : t -> int -> bool
 val accesses : t -> int
 val misses : t -> int
 
-(** Invalidate all lines and clear statistics. *)
+(** A fresh cache: invalidate all lines, zero the LRU stamps, the clock
+    and the statistics, and clear the conflict recorder if armed. Any
+    access stream afterwards hits and misses exactly as on a newly
+    created cache of the same geometry. *)
 val reset : t -> unit
 
 (** Invalidate all lines, keep statistics. *)

@@ -97,7 +97,11 @@ val cost : t -> Cost.t
     clearing counters. *)
 val flush : t -> unit
 
-(** Fresh machine state and counters. *)
+(** Fresh machine state and counters: every cache and TLB as
+    {!Cache.reset}, the predictor back to its initial counters and
+    history, cycles and instructions zero, and the fetch and data line
+    memos cleared. The machine then charges any stream exactly as a
+    newly created one with the same configuration. *)
 val reset : t -> unit
 
 (** {1 Conflict attribution}

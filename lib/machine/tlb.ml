@@ -3,9 +3,14 @@ type config = { name : string; entries : int; ways : int; page_bits : int }
 type t = { cache : Cache.t }
 
 let create cfg =
-  if cfg.entries mod cfg.ways <> 0 then
-    invalid_arg "Tlb.create: entries must be a multiple of ways";
+  if cfg.ways <= 0 then invalid_arg "Tlb.create: ways must be positive";
+  if cfg.entries <= 0 || cfg.entries mod cfg.ways <> 0 then
+    invalid_arg "Tlb.create: entries must be a positive multiple of ways";
   let sets = cfg.entries / cfg.ways in
+  if sets land (sets - 1) <> 0 then
+    invalid_arg "Tlb.create: entries / ways must be a power of two";
+  if cfg.page_bits < 0 || cfg.page_bits > 62 then
+    invalid_arg "Tlb.create: page_bits must be in [0, 62]";
   {
     cache =
       Cache.create

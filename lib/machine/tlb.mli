@@ -12,9 +12,15 @@ type config = {
 
 type t
 
+(** Raises [Invalid_argument] naming [Tlb.create] unless [ways] is
+    positive, [entries] is a positive multiple of [ways],
+    [entries / ways] is a power of two and [page_bits] is between 0
+    and 62. *)
 val create : config -> t
 
-(** [access t addr] looks up the page of [addr]; returns [true] on hit. *)
+(** [access t addr] looks up the page of [addr]; returns [true] on hit.
+    A run of accesses to one page takes {!Cache.access}'s same-line
+    path. *)
 val access : t -> int -> bool
 
 val accesses : t -> int
@@ -23,6 +29,7 @@ val misses : t -> int
 (** Drop all translations, keep statistics. *)
 val flush : t -> unit
 
+(** A fresh TLB, as {!Cache.reset}. *)
 val reset : t -> unit
 
 (** {1 Conflict attribution}

@@ -128,37 +128,55 @@ let decode_instr cost instr =
 
 (* Simulated memory, word-granular ([addr lsr 3], exactly the key the
    former hashtable used, so negative addresses land on the same
-   words). A paged flat store with a last-page memo replaces per-access
-   hashing: loads see exactly what stores put there (0 when untouched),
-   so program *values* are identical across layouts — layout affects
-   timing only, the paper's premise. *)
+   words). A paged flat store replaces per-access hashing: loads see
+   exactly what stores put there (0 when untouched), so program
+   *values* are identical across layouts — layout affects timing only,
+   the paper's premise. Pages live in an int-keyed table; a small
+   direct-mapped memo in front of it keeps the handful of pages a loop
+   alternates between (its stack frame, a heap object, a global) from
+   evicting one another. *)
 let page_word_bits = 12
 let page_words = 1 lsl page_word_bits
 let page_mask = page_words - 1
+let memo_slots = 16
+
+(* Page indices are [word lsr page_word_bits] of a logical shift, so
+   never negative: the identity is a fine hash and -1 an empty slot. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)
 
 type mem = {
-  pages : (int, int array) Hashtbl.t;
-  mutable memo_idx : int;
-  mutable memo_page : int array;
+  pages : int array Pages.t;
+  memo_idx : int array;  (** page index cached in each slot, -1 = empty *)
+  memo_page : int array array;
 }
 
 let mem_create () =
-  { pages = Hashtbl.create 64; memo_idx = -1; memo_page = [||] }
+  {
+    pages = Pages.create 64;
+    memo_idx = Array.make memo_slots (-1);
+    memo_page = Array.make memo_slots [||];
+  }
 
 let mem_page m word =
   let idx = word lsr page_word_bits in
-  if idx = m.memo_idx then m.memo_page
+  let slot = idx land (memo_slots - 1) in
+  if m.memo_idx.(slot) = idx then m.memo_page.(slot)
   else begin
     let page =
-      match Hashtbl.find_opt m.pages idx with
+      match Pages.find_opt m.pages idx with
       | Some pg -> pg
       | None ->
           let pg = Array.make page_words 0 in
-          Hashtbl.add m.pages idx pg;
+          Pages.add m.pages idx pg;
           pg
     in
-    m.memo_idx <- idx;
-    m.memo_page <- page;
+    m.memo_idx.(slot) <- idx;
+    m.memo_page.(slot) <- page;
     page
   end
 

@@ -5,8 +5,12 @@
     policy.
 
     Semantics notes: memory is a word-granular store private to each
-    [run] (loads of untouched words read 0), integer division by zero
-    yields 0, and shift amounts are clamped into [0, 62] — wrapped
+    [run] (loads of untouched words read 0; the word of an address is
+    [addr lsr 3], so negative addresses are ordinary words). It is held
+    in 32 KiB pages in an int-keyed table behind a 16-slot
+    direct-mapped page memo, which changes host speed only: a load
+    always sees the last value stored to its word. Integer division by
+    zero yields 0, and shift amounts are clamped into [0, 62] — wrapped
     through [land 63] like a hardware shifter, then capped at 62 —
     keeping generated programs total. The clamp preserves odd amounts:
     an earlier [land 62] mask silently simulated [x lsl 1] as

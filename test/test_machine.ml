@@ -66,16 +66,206 @@ let cache_flush_and_reset () =
   check_bool "flushed" false (M.Cache.probe c 0);
   check_int "stats kept" 1 (M.Cache.accesses c);
   M.Cache.reset c;
-  check_int "stats cleared" 0 (M.Cache.accesses c)
+  check_int "stats cleared" 0 (M.Cache.accesses c);
+  (* A reset cache is a fresh one: old LRU stamps must not outrank the
+     restarted clock, or new lines look older than invalid ways and
+     are evicted first. *)
+  let geometry = { M.Cache.name = "t"; sets = 1; ways = 2; line_bits = 6 } in
+  let misses_on c =
+    List.iter (fun line -> ignore (M.Cache.access c (line * 64))) [ 0; 1; 0; 2; 0 ];
+    M.Cache.misses c
+  in
+  let used = M.Cache.create geometry in
+  for i = 1 to 10 do
+    ignore (M.Cache.access used (i * 64))
+  done;
+  M.Cache.reset used;
+  check_int "reset cache misses like a fresh one"
+    (misses_on (M.Cache.create geometry))
+    (misses_on used);
+  (* The same for the whole machine, on a stream that evicts in L1D. *)
+  let stream h =
+    for i = 0 to 39 do
+      ignore (M.Hierarchy.fetch h (0x400000 + (4 * i)));
+      ignore (M.Hierarchy.data h (0x10000000 + (4096 * (i mod 3)) + (8 * (i mod 5))));
+      ignore (M.Hierarchy.branch h ~pc:(0x400000 + (4 * i)) ~taken:(i mod 3 = 0))
+    done;
+    M.Hierarchy.counters_fields (M.Hierarchy.counters h)
+  in
+  let h = M.Hierarchy.create () in
+  for i = 0 to 199 do
+    ignore (M.Hierarchy.data h (0x10000000 + (4096 * i)));
+    ignore (M.Hierarchy.fetch h (0x400000 + (64 * i)))
+  done;
+  M.Hierarchy.reset h;
+  List.iter2
+    (fun (k, fresh) (_, reset) -> check_int ("reset machine: " ^ k) fresh reset)
+    (stream (M.Hierarchy.create ()))
+    (stream h)
 
 let cache_index_bits () =
   let c = M.Cache.create { M.Cache.name = "t"; sets = 64; ways = 2; line_bits = 6 } in
   Alcotest.(check (pair int int)) "bits 6..11" (6, 11) (M.Cache.index_bits c)
 
 let cache_bad_config () =
-  Alcotest.check_raises "non-pow2 sets"
-    (Invalid_argument "Cache.create: sets must be a positive power of two")
-    (fun () -> ignore (M.Cache.create { M.Cache.name = "t"; sets = 3; ways = 1; line_bits = 6 }))
+  let cache sets ways line_bits () =
+    ignore (M.Cache.create { M.Cache.name = "t"; sets; ways; line_bits })
+  in
+  let tlb entries ways page_bits () =
+    ignore (M.Tlb.create { M.Tlb.name = "t"; entries; ways; page_bits })
+  in
+  List.iter
+    (fun (msg, f) -> Alcotest.check_raises msg (Invalid_argument msg) f)
+    [
+      ("Cache.create: sets must be a positive power of two", cache 3 1 6);
+      ("Cache.create: sets must be a positive power of two", cache 0 1 6);
+      ("Cache.create: ways must be positive", cache 4 0 6);
+      ("Cache.create: line_bits must be in [0, 62]", cache 4 1 (-1));
+      ("Cache.create: line_bits must be in [0, 62]", cache 4 1 63);
+      ("Tlb.create: ways must be positive", tlb 32 0 12);
+      ("Tlb.create: entries must be a positive multiple of ways", tlb 30 4 12);
+      ("Tlb.create: entries must be a positive multiple of ways", tlb 0 4 12);
+      ("Tlb.create: entries / ways must be a power of two", tlb 24 4 12);
+      ("Tlb.create: page_bits must be in [0, 62]", tlb 32 4 (-1));
+      ("Tlb.create: page_bits must be in [0, 62]", tlb 32 4 63);
+    ];
+  (* The edges of the accepted range still build. *)
+  cache 1 1 0 ();
+  cache 4 2 62 ();
+  tlb 1 1 0 ()
+
+(* The access rule before the same-line path and the early-exit scan:
+   every access scans the whole set for the tag and for the LRU victim
+   (the first way with the smallest stamp), with the conflict recorder
+   always lit. [reset] is a fresh model. *)
+module Ref_cache = struct
+  type t = {
+    sets : int;
+    ways : int;
+    line_bits : int;
+    funcs : int;
+    tags : int array;
+    stamps : int array;
+    line_owner : int array;
+    set_accesses : int array;
+    set_misses : int array;
+    evictions : int array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+    mutable owner : int;
+  }
+
+  let create ~sets ~ways ~line_bits ~funcs =
+    {
+      sets;
+      ways;
+      line_bits;
+      funcs;
+      tags = Array.make (sets * ways) (-1);
+      stamps = Array.make (sets * ways) 0;
+      line_owner = Array.make (sets * ways) (-1);
+      set_accesses = Array.make sets 0;
+      set_misses = Array.make sets 0;
+      evictions = Array.make (funcs * funcs) 0;
+      clock = 0;
+      accesses = 0;
+      misses = 0;
+      owner = -1;
+    }
+
+  let access r addr =
+    r.accesses <- r.accesses + 1;
+    r.clock <- r.clock + 1;
+    let tag = addr lsr r.line_bits in
+    let set = tag land (r.sets - 1) in
+    let base = set * r.ways in
+    let hit = ref (-1) and victim = ref base in
+    for w = base to base + r.ways - 1 do
+      if !hit < 0 && r.tags.(w) = tag then hit := w;
+      if r.stamps.(w) < r.stamps.(!victim) then victim := w
+    done;
+    r.set_accesses.(set) <- r.set_accesses.(set) + 1;
+    if !hit >= 0 then r.stamps.(!hit) <- r.clock
+    else begin
+      let v = !victim and o = r.line_owner.(!victim) in
+      r.misses <- r.misses + 1;
+      r.set_misses.(set) <- r.set_misses.(set) + 1;
+      if r.tags.(v) <> -1 && o >= 0 && r.owner >= 0 && o <> r.owner then
+        r.evictions.((o * r.funcs) + r.owner) <- r.evictions.((o * r.funcs) + r.owner) + 1;
+      r.line_owner.(v) <- r.owner;
+      r.tags.(v) <- tag;
+      r.stamps.(v) <- r.clock
+    end;
+    !hit >= 0
+
+  let flush r =
+    Array.fill r.tags 0 (Array.length r.tags) (-1);
+    Array.fill r.line_owner 0 (Array.length r.line_owner) (-1)
+end
+
+(* The same-line path and the early-exit scan against [Ref_cache]:
+   seeded streams of same-line runs, strides and random (also
+   negative) addresses, with owner switches, flushes and resets, over
+   geometries from 1 to 1024 sets, 1 to 16 ways and 4 to 12 line bits,
+   dark and armed. A flush or reset is always followed by the line the
+   cache saw last, so a memo that survives either one shows up. Every
+   tenth geometry has 1-byte lines, where address -1 is line -1, the
+   invalid tag itself. *)
+let cache_fast_path_matches_reference () =
+  let funcs = 3 in
+  let rng = Stz_prng.Xorshift.create ~seed:20261017L in
+  let pick n = Stz_prng.Xorshift.next_int rng n in
+  for case = 0 to 59 do
+    let sets = 1 lsl pick 11 and ways = 1 + pick 16 in
+    let line_bits = if case mod 10 = 9 then 0 else 4 + pick 9 in
+    let armed = case land 1 = 1 in
+    let geometry = Printf.sprintf "case %d: %d sets, %d ways, line_bits %d, %s" case
+        sets ways line_bits (if armed then "armed" else "dark") in
+    let c = M.Cache.create { M.Cache.name = "fast"; sets; ways; line_bits } in
+    if armed then M.Cache.arm_attrib c ~funcs;
+    let r = ref (Ref_cache.create ~sets ~ways ~line_bits ~funcs) in
+    (* Checked silently: a logged assertion per access would write
+       megabytes of test output. *)
+    let agree what =
+      let differs name = Alcotest.failf "%s%s: %s differs from the reference" geometry what name in
+      if M.Cache.accesses c <> !r.accesses then differs "accesses";
+      if M.Cache.misses c <> !r.misses then differs "misses";
+      match M.Cache.attrib_view c with
+      | None -> if armed then differs "attrib_view"
+      | Some v ->
+          if v.M.Cache.set_accesses <> !r.set_accesses then differs "set_accesses";
+          if v.M.Cache.set_misses <> !r.set_misses then differs "set_misses";
+          if v.M.Cache.evictions <> !r.evictions then differs "evictions"
+    in
+    let footprint = 3 * sets * ways lsl line_bits in
+    let addr = ref 0 in
+    for i = 0 to 2999 do
+      (match pick 100 with
+      | k when k < 2 ->
+          agree " before flush";
+          M.Cache.flush c;
+          Ref_cache.flush !r
+      | k when k < 3 ->
+          agree " before reset";
+          M.Cache.reset c;
+          r := Ref_cache.create ~sets ~ways ~line_bits ~funcs
+      | k when k < 6 ->
+          let fid = pick (funcs + 1) - 1 in
+          M.Cache.set_attrib_owner c fid;
+          !r.owner <- fid
+      | k when k < 45 -> addr := !addr + pick (1 lsl line_bits)
+      | k when k < 70 -> addr := !addr + (sets lsl line_bits) + (8 * pick 4)
+      | k when k < 95 -> addr := pick footprint
+      | k when k < 97 -> addr := -1 - pick footprint
+      | _ -> addr := -1);
+      let expect = Ref_cache.access !r !addr in
+      if M.Cache.access c !addr <> expect then
+        Alcotest.failf "%s: access %d at %#x should %s" geometry i !addr
+          (if expect then "hit" else "miss")
+    done;
+    agree " at the end"
+  done
 
 (* Reference model: a cache as a list of (set, tag) with exact LRU,
    checked against the array implementation on random address streams. *)
@@ -397,6 +587,8 @@ let () =
           Alcotest.test_case "index bits" `Quick cache_index_bits;
           Alcotest.test_case "bad config" `Quick cache_bad_config;
           QCheck_alcotest.to_alcotest cache_matches_reference_model;
+          Alcotest.test_case "fast path matches reference" `Quick
+            cache_fast_path_matches_reference;
         ] );
       ( "tlb",
         [

@@ -340,6 +340,59 @@ let interp_call_depth () =
         (I.run ~limits:{ I.max_instructions = 1_000_000; max_call_depth = 5 } env p
            ~args:[ 100 ]))
 
+(* Paged memory against a plain word map. Stores go to 72 pages: 64 at
+   positive addresses, where pages 16 apart share a memo slot, and 8 at
+   negative addresses that all share one. Loads then read them back in
+   another order. Each load must see the last value stored to its word,
+   or 0. Pages that share a slot are written at the same offsets, so a
+   memo that served a slot's page without comparing its index would
+   read or overwrite a neighbour's word. *)
+let interp_paged_memory_matches_word_map () =
+  let page_bytes = 8 * 4096 in
+  let pages =
+    Array.append
+      (Array.init 64 (fun i -> (5 + i) * page_bytes))
+      (Array.init 8 (fun j -> -(1 + (16 * j)) * page_bytes))
+  in
+  let n = Array.length pages in
+  let b = B.func ~fid:0 ~name:"main" ~n_args:0 () in
+  let addr = B.fresh_reg b and got = B.fresh_reg b in
+  let wrong = B.fresh_reg b and bad = B.fresh_reg b in
+  let model = Hashtbl.create 256 in
+  let store a v =
+    B.emit b (Ir.Mov (addr, Ir.Imm a));
+    B.emit b (Ir.Store (addr, 0, Ir.Imm v));
+    Hashtbl.replace model (a lsr 3) v
+  in
+  let loads = ref 0 in
+  let load a =
+    let expect = Option.value (Hashtbl.find_opt model (a lsr 3)) ~default:0 in
+    B.emit b (Ir.Mov (addr, Ir.Imm a));
+    B.emit b (Ir.Load (got, addr, 0));
+    B.emit b (Ir.Cmp (Ir.Ne, wrong, Ir.Reg got, Ir.Imm expect));
+    B.emit b (Ir.Bin (Ir.Add, bad, Ir.Reg bad, Ir.Reg wrong));
+    incr loads
+  in
+  B.emit b (Ir.Mov (bad, Ir.Imm 0));
+  Array.iteri
+    (fun i p ->
+      store p (1000 + i);
+      store (p + 8) (2000 + i))
+    pages;
+  Array.iteri (fun i p -> if i mod 3 = 0 then store p (3000 + i)) pages;
+  for k = 0 to n - 1 do
+    let p = pages.(k * 29 mod n) in
+    load p;
+    load (p + 8);
+    load (p + 16)
+  done;
+  load (200 * page_bytes);
+  load (-300 * page_bytes);
+  B.emit b (Ir.Ret (Ir.Reg bad));
+  let prog = B.program ~funcs:[ B.finish b ] ~globals:[] ~entry:0 in
+  check_bool "negative pages present" true (pages.(n - 1) < 0);
+  check_int (Printf.sprintf "wrong loads out of %d" !loads) 0 (run prog [])
+
 let interp_deterministic_cycles () =
   let p = sum_program () in
   let m1 = Stz_machine.Hierarchy.create () in
@@ -542,6 +595,8 @@ let () =
           Alcotest.test_case "call depth" `Quick interp_call_depth;
           Alcotest.test_case "deterministic" `Quick interp_deterministic_cycles;
           Alcotest.test_case "layout-independent values" `Quick interp_layout_affects_time_not_values;
+          Alcotest.test_case "paged memory matches word map" `Quick
+            interp_paged_memory_matches_word_map;
         ] );
       ( "text format",
         [
