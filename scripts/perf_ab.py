@@ -3,13 +3,16 @@
 
     python3 scripts/perf_ab.py BASE_REV WORKLOAD [--pairs 10] [--seconds 30]
 
-Unpacks `git archive BASE_REV` into a temporary directory, builds
-perfbench/main.exe there and in this checkout, then runs PAIRS pairs of
-`main.exe --workload WORKLOAD --seed S --seconds SECONDS --trace 0`.
-Both runs of a pair use the same seed; each pair draws a new one. The
-side that runs first alternates from pair to pair, so drift in the
-host's speed lands on both sides equally. Build output and one line
-per pair, with its seed and both sides' values, go to standard error.
+Unpacks `git archive BASE_REV` into a temporary directory, then runs
+PAIRS pairs of the benchmark's own command, `python3 perfbench/run.py
+--workload WORKLOAD --seed S --seconds SECONDS --trace 0`, once from
+that directory and once from this checkout. run.py builds its
+checkout before it runs (a no-op after the first run), and main.exe
+times itself, so the build does not enter the metrics. Both runs of a
+pair use the same seed; each pair draws a new one. The side that runs
+first alternates from pair to pair, so drift in the host's speed lands
+on both sides equally. One line per pair, with its seed and both
+sides' values, goes to standard error.
 
 Prints, for each side, the median and quartiles of every end-to-end
 metric that BENCHMARK.json declares, and the failed fraction. For each
@@ -17,9 +20,10 @@ metric it then prints how many pairs the change won (ties count for
 neither side; the better direction comes from BENCHMARK.json) and a
 label:
 
-  gain        the change won at least 9/10 of the pairs and its median
-              is better than the base's by more than the base's
-              interquartile range
+  gain        there are at least 10 pairs, the change won at least 9/10
+              of them, and its median is better than the base's by more
+              than the base's interquartile range; fewer pairs never
+              make a gain
   regression  the change's median is worse than the base's by more than
               the metric's bound (a fraction of the base's median)
   unresolved  anything else
@@ -38,16 +42,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-EXE = os.path.join("_build", "default", "perfbench", "main.exe")
-
-
-def dune():
-    found = shutil.which("dune")
-    if found:
-        return [found]
-    if shutil.which("opam"):
-        return ["opam", "exec", "--", "dune"]
-    sys.exit("perf_ab: dune not found")
+MIN_GAIN_PAIRS = 10
 
 
 def unpack(rev, dest):
@@ -58,18 +53,10 @@ def unpack(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
-def build(root):
-    done = subprocess.run(dune() + ["build", "--root", root, "./perfbench/main.exe"],
-                          cwd=root, stdin=subprocess.DEVNULL,
-                          stdout=sys.stderr, stderr=sys.stderr)
-    if done.returncode != 0:
-        print("perf_ab: build failed in %s" % root, file=sys.stderr)
-        sys.exit(1)
-
-
 def run(root, workload, seed, seconds):
     done = subprocess.run(
-        [os.path.join(root, EXE), "--workload", workload, "--seed", str(seed),
+        [sys.executable, os.path.join(root, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, universal_newlines=True)
@@ -101,7 +88,7 @@ def judge(metric, base, head):
     mb, mh = quantile(base, 0.5), quantile(head, 0.5)
     gained = mb - mh if lower else mh - mb
     iqr = quantile(base, 0.75) - quantile(base, 0.25)
-    if wins >= 0.9 * len(base) and gained > iqr:
+    if len(base) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(base) and gained > iqr:
         return wins, "gain"
     if -gained > metric["bound"] * abs(mb):
         return wins, "regression"
@@ -124,8 +111,6 @@ def main():
     try:
         unpack(args.base_rev, base_root)
         sides = {"base": base_root, "change": ROOT}
-        for root in sides.values():
-            build(root)
         rng = random.SystemRandom()
         results = {"base": [], "change": []}
         for i in range(args.pairs):
