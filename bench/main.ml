@@ -14,7 +14,6 @@
      dune exec bench/main.exe -- adaptive  -- §8 adaptive re-randomization
      dune exec bench/main.exe -- predictor -- §8 predictor structure
      dune exec bench/main.exe -- faults    -- supervised campaigns under faults
-     dune exec bench/main.exe -- perf      -- Bechamel microbenchmarks
 
    Environment knobs: STZ_RUNS (default 30) and STZ_SCALE (default 1.0)
    shrink the experiments for quick passes; SZC_JOBS (default 1) fans
@@ -576,82 +575,14 @@ let run_faults () =
   progress "\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the substrate itself                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_perf () =
-  heading "P  Substrate microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let cache = Stz_machine.Cache.create { Stz_machine.Cache.name = "b"; sets = 64; ways = 2; line_bits = 6 } in
-  let addr = ref 0 in
-  let cache_test =
-    Test.make ~name:"cache.access"
-      (Staged.stage (fun () ->
-           addr := (!addr + 8191) land 0xFFFFF;
-           ignore (Stz_machine.Cache.access cache !addr)))
-  in
-  let arena = Stz_alloc.Arena.create ~base:0x1000_0000 ~size:(1 lsl 28) in
-  let shuffled =
-    Stz_alloc.Factory.randomized ~source:(Stz_prng.Source.marsaglia ~seed:1L)
-      Stz_alloc.Allocator.Segregated arena
-  in
-  let malloc_test =
-    Test.make ~name:"shuffle.malloc+free"
-      (Staged.stage (fun () ->
-           let a = shuffled.Stz_alloc.Allocator.malloc 64 in
-           shuffled.Stz_alloc.Allocator.free a))
-  in
-  let tiny =
-    W.Generate.program
-      { W.Profile.default with W.Profile.iterations = 2; inner_trips = 4; functions = 4; hot_functions = 2 }
-  in
-  let interp_test =
-    Test.make ~name:"runtime.run(tiny)"
-      (Staged.stage (fun () ->
-           ignore (Stabilizer.Runtime.run ~config:Stabilizer.Config.stabilizer ~seed:1L tiny ~args:[ 1 ])))
-  in
-  let sw_data = Array.init 30 (fun i -> float_of_int i +. (0.1 *. float_of_int (i mod 7))) in
-  let shapiro_test =
-    Test.make ~name:"stats.shapiro(n=30)"
-      (Staged.stage (fun () -> ignore (Stats.Shapiro.test sw_data)))
-  in
-  let marsaglia = Stz_prng.Marsaglia.create ~seed:1L in
-  let prng_test =
-    Test.make ~name:"prng.marsaglia"
-      (Staged.stage (fun () -> ignore (Stz_prng.Marsaglia.next marsaglia)))
-  in
-  let test =
-    Test.make_grouped ~name:"substrate"
-      [ prng_test; cache_test; malloc_test; shapiro_test; interp_test ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances test in
-  let analysis = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all analysis Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) ->
-          Printf.printf "%-36s %12.1f ns/op%s\n" name est
-            (match Analyze.OLS.r_square ols with
-            | Some r2 -> Printf.sprintf "  (r2 = %.3f)" r2
-            | None -> "")
-      | Some [] | None -> Printf.printf "%-36s (no estimate)\n" name)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* main                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let usage () =
-  print_endline
+  prerr_endline
     "usage: main.exe [nist|normality|overhead|optimizations|anova|bias|table2|\
-     ablations|reloc|adaptive|predictor|faults|perf|all]"
+     ablations|reloc|adaptive|predictor|faults|all]";
+  exit 1
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -669,7 +600,6 @@ let () =
   | "predictor" -> run_predictor_ablation ()
   | "adaptive" -> run_adaptive ()
   | "faults" -> run_faults ()
-  | "perf" -> run_perf ()
   | "all" ->
       run_nist ();
       run_bias ();

@@ -1097,7 +1097,7 @@ let history_cmd =
 (* ------------------------------------------------------------------ *)
 
 let regress_cmd =
-  let run path label baseline confidence min_effect min_n =
+  let run path label baseline =
     match Stz_store.Ledger.load path with
     | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
     | Ok ((), entries) -> (
@@ -1133,8 +1133,8 @@ let regress_cmd =
                 Ok 3
             | Some base_pair -> (
                 let c =
-                  Stabilizer.History.compare_entries ~confidence ~min_effect
-                    ~min_n ~baseline:base_pair ~latest:latest_pair ()
+                  Stabilizer.History.compare_entries ~baseline:base_pair
+                    ~latest:latest_pair
                 in
                 Printf.printf "%s\n" (Stabilizer.History.describe c);
                 match c.Stabilizer.History.decision with
@@ -1164,31 +1164,18 @@ let regress_cmd =
             & opt (some int) None
             & info [ "baseline" ] ~docv:"SEQ"
                 ~doc:"Compare against this ledger entry (default: the \
-                      oldest earlier entry with the same label).")
-        $ Arg.(
-            value & opt float 0.95
-            & info [ "confidence" ] ~docv:"C"
-                ~doc:"Confidence level of the effect-size interval.")
-        $ Arg.(
-            value & opt float 0.2
-            & info [ "min-effect" ] ~docv:"D"
-                ~doc:"Practical-significance floor on Cohen's d; smaller \
-                      confirmed effects do not fail the gate.")
-        $ Arg.(
-            value & opt int 3
-            & info [ "min-n" ] ~docv:"N"
-                ~doc:"Completed runs required on each side before any \
-                      conclusion is drawn.")))
+                      oldest earlier entry with the same label).")))
   in
   Cmd.v
     (Cmd.info "regress"
        ~doc:
          "Decide, from the history ledger alone, whether the latest \
           recorded campaign regressed against its baseline: Cohen's d \
-          with a confidence interval recomputed from the stored moments \
-          (bit-exact — floats are stored as hex). Exit 0 no confirmed \
-          regression (or a confirmed improvement), 2 regression (CI \
-          excludes zero and d >= --min-effect), 3 insufficient data.")
+          with a 95% confidence interval recomputed from the stored \
+          moments (bit-exact — floats are stored as hex). Exit 0 no \
+          confirmed regression (or a confirmed improvement), 2 regression \
+          (CI excludes zero and d >= 0.2), 3 insufficient data (fewer \
+          than 3 completed runs on either side, or no baseline).")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -46,15 +46,18 @@ type comparison = {
   d : float;
   ci_low : float;
   ci_high : float;
-  confidence : float;
   ratio : float;
   same_fingerprint : bool;
   decision : decision;
 }
 
-let compare_entries ?(confidence = 0.95) ?(min_effect = 0.2) ?(min_n = 3)
-    ~baseline:(baseline_seq, (b : Ledger.entry))
-    ~latest:(latest_seq, (l : Ledger.entry)) () =
+(* The decision rule is fixed, so its size under H0 is one number. *)
+let confidence = 0.95
+let min_effect = 0.2
+let min_n = 3
+
+let compare_entries ~baseline:(baseline_seq, (b : Ledger.entry))
+    ~latest:(latest_seq, (l : Ledger.entry)) =
   let moments (e : Ledger.entry) =
     { Effect.n = e.Ledger.completed; mean = e.Ledger.mean; sd = e.Ledger.sd }
   in
@@ -77,7 +80,6 @@ let compare_entries ?(confidence = 0.95) ?(min_effect = 0.2) ?(min_n = 3)
     d;
     ci_low;
     ci_high;
-    confidence;
     ratio =
       (if b.Ledger.mean = 0.0 then 0.0 else l.Ledger.mean /. b.Ledger.mean);
     same_fingerprint = l.Ledger.fingerprint = b.Ledger.fingerprint;
@@ -98,5 +100,5 @@ let describe c =
     c.latest_seq c.baseline_seq
     (if c.same_fingerprint then "" else " (different configuration)")
     c.ratio c.d
-    (100.0 *. c.confidence)
+    (100.0 *. confidence)
     c.ci_low c.ci_high verdict

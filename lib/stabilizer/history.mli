@@ -37,7 +37,7 @@ val append :
 
 type decision =
   | No_regression  (** CI does not confirm a slowdown *)
-  | Regression  (** latest is slower: CI excludes zero, d >= min_effect *)
+  | Regression  (** latest is slower: CI excludes zero, d >= 0.2 *)
   | Improvement  (** latest is faster, same evidence bar *)
   | Not_comparable of string  (** too little data to decide either way *)
 
@@ -47,24 +47,18 @@ type comparison = {
   d : float;  (** Cohen's d, positive = latest slower *)
   ci_low : float;
   ci_high : float;
-  confidence : float;  (** level of the CI, e.g. 0.95 *)
   ratio : float;  (** latest mean / baseline mean; 0 when baseline is 0 *)
   same_fingerprint : bool;
   decision : decision;
 }
 
 (** [compare_entries ~baseline ~latest] with their ledger sequence
-    numbers. [min_n] (default 3) is the per-side completed-run floor
-    below which the decision is {!Not_comparable}; [min_effect]
-    (default 0.2, Cohen's "small") is the practical-significance floor;
-    [confidence] (default 0.95) sizes the CI. *)
+    numbers. The rule is fixed: a 95% CI, a practical-significance
+    floor of d = 0.2 (Cohen's "small"), and at least 3 completed runs
+    per side, below which the decision is {!Not_comparable}. *)
 val compare_entries :
-  ?confidence:float ->
-  ?min_effect:float ->
-  ?min_n:int ->
   baseline:int * Stz_store.Ledger.entry ->
   latest:int * Stz_store.Ledger.entry ->
-  unit ->
   comparison
 
 val describe : comparison -> string

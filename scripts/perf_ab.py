@@ -21,9 +21,10 @@ neither side; the better direction comes from BENCHMARK.json) and a
 label:
 
   gain        there are at least 10 pairs, the change won at least 9/10
-              of them, and its median is better than the base's by more
-              than the base's interquartile range; fewer pairs never
-              make a gain
+              of them, its median is better than the base's by more
+              than the base's interquartile range, and it failed no
+              larger a share of operations than the base; fewer pairs
+              or more failures never make a gain
   regression  the change's median is worse than the base's by more than
               the metric's bound (a fraction of the base's median)
   unresolved  anything else
@@ -81,14 +82,25 @@ def quantile(xs, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
-def judge(metric, base, head):
+def failed(runs):
+    return sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+
+
+def fails_more(base_runs, head_runs):
+    """Whether the change failed a larger share of operations."""
+    (bf, ba), (hf, ha) = failed(base_runs), failed(head_runs)
+    return hf * ba > bf * ha
+
+
+def judge(metric, base, head, more_failures):
     """The change's pair wins and the metric's label."""
     lower = metric["better"] == "lower"
     wins = sum(1 for b, h in zip(base, head) if (h < b if lower else h > b))
     mb, mh = quantile(base, 0.5), quantile(head, 0.5)
     gained = mb - mh if lower else mh - mb
     iqr = quantile(base, 0.75) - quantile(base, 0.25)
-    if len(base) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(base) and gained > iqr:
+    if (len(base) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(base)
+            and gained > iqr and not more_failures):
         return wins, "gain"
     if -gained > metric["bound"] * abs(mb):
         return wins, "regression"
@@ -129,22 +141,29 @@ def main():
 
     print("%s: %s vs this checkout, %d pairs of %gs" %
           (args.workload, args.base_rev, args.pairs, args.seconds))
+    report(metrics, results)
+    return 0
+
+
+def report(metrics, results):
+    """Prints the failed counts and the per-metric table."""
+    pairs = len(results["base"])
     for side in ("base", "change"):
-        runs = results[side]
-        print("%-6s failed %d/%d" % (side, sum(r["failed"] for r in runs),
-                                     sum(r["attempted"] for r in runs)))
+        print("%-6s failed %d/%d" % ((side,) + failed(results[side])))
+    more_failures = fails_more(results["base"], results["change"])
+    if more_failures:
+        print("no gain: the change failed a larger share of operations than the base")
     print("%-16s %-6s %12s %12s %12s   %-8s %s" %
           ("metric", "side", "q1", "median", "q3", "wins", "label"))
     for m in metrics:
         base = [value(r, m["name"]) for r in results["base"]]
         head = [value(r, m["name"]) for r in results["change"]]
-        wins, verdict = judge(m, base, head)
+        wins, verdict = judge(m, base, head, more_failures)
         for side, xs, tail in (("base", base, ""),
-                               ("change", head, "   %2d/%-5d %s" % (wins, args.pairs, verdict))):
+                               ("change", head, "   %2d/%-5d %s" % (wins, pairs, verdict))):
             print("%-16s %-6s %12.4g %12.4g %12.4g%s" %
                   (m["name"], side, quantile(xs, 0.25), quantile(xs, 0.5), quantile(xs, 0.75),
                    tail))
-    return 0
 
 
 if __name__ == "__main__":

@@ -430,6 +430,87 @@ let ledger_refuses_corrupt_append () =
         (Result.is_error (Ledger.append path (sample_entry 1))))
 
 (* ------------------------------------------------------------------ *)
+(* szc regress's decision rule on hand-built ledger entries            *)
+(* ------------------------------------------------------------------ *)
+
+module History = S.History
+
+let decide baseline latest =
+  History.compare_entries ~baseline:(0, baseline) ~latest:(1, latest)
+
+let decision (c : History.comparison) =
+  match c.History.decision with
+  | History.No_regression -> "no regression"
+  | History.Regression -> "regression"
+  | History.Improvement -> "improvement"
+  | History.Not_comparable why -> "not comparable: " ^ why
+
+(* 1000 runs of unit spread: against a baseline mean of 0, the latest
+   mean is d, and a CI of about +-0.09 confirms d = 0.15. *)
+let unit_spread mean =
+  { (sample_entry 0) with Ledger.completed = 1000; mean; sd = 1.0 }
+
+let regress_identical () =
+  let c = decide (sample_entry 0) (sample_entry 0) in
+  check_bool "d = 0" true (c.History.d = 0.0);
+  check_string "decision" "no regression" (decision c);
+  (* Pins the 95% level: z = 1.96 over 28 runs a side. *)
+  check_string "described"
+    "entry 1 vs baseline 0: time ratio 1.0000, effect d = 0.000, 95% CI \
+     [-0.524, 0.524] -> no regression"
+    (History.describe c)
+
+let regress_slower_and_faster () =
+  let slower = decide (sample_entry 0) (sample_entry 1) in
+  check_bool "CI low > 0" true (slower.History.ci_low > 0.0);
+  check_bool "d >= 0.2" true (slower.History.d >= 0.2);
+  check_string "slower" "regression" (decision slower);
+  let faster = decide (sample_entry 1) (sample_entry 0) in
+  check_bool "CI high < 0" true (faster.History.ci_high < 0.0);
+  check_string "faster" "improvement" (decision faster)
+
+let regress_effect_floor () =
+  let below = decide (unit_spread 0.0) (unit_spread 0.15) in
+  check_bool "slowdown confirmed" true (below.History.ci_low > 0.0);
+  check_string "d = 0.15 is below the floor" "no regression" (decision below);
+  check_string "d = 0.2 is at the floor" "regression"
+    (decision (decide (unit_spread 0.0) (unit_spread 0.2)));
+  check_string "d = -0.2 is at the floor" "improvement"
+    (decision (decide (unit_spread 0.0) (unit_spread (-0.2))))
+
+let regress_run_floor () =
+  let runs n e = { e with Ledger.completed = n } in
+  check_string "2 runs latest"
+    "not comparable: need 3 completed runs per side (have 2 vs 28)"
+    (decision (decide (sample_entry 0) (runs 2 (sample_entry 1))));
+  check_string "2 runs baseline"
+    "not comparable: need 3 completed runs per side (have 29 vs 2)"
+    (decision (decide (runs 2 (sample_entry 0)) (sample_entry 1)));
+  check_string "3 runs a side" "regression"
+    (decision (decide (runs 3 (sample_entry 0)) (runs 3 (sample_entry 1))))
+
+let regress_zero_spread () =
+  let still mean = { (sample_entry 0) with Ledger.mean; sd = 0.0 } in
+  let slower = decide (still 1.0) (still 2.0) in
+  check_bool "d = +inf" true (slower.History.d = infinity);
+  check_string "slower" "regression" (decision slower);
+  let faster = decide (still 2.0) (still 1.0) in
+  check_bool "d = -inf" true (faster.History.d = neg_infinity);
+  check_string "faster" "improvement" (decision faster);
+  List.iter
+    (fun c ->
+      check_bool "no NaN in the line" false
+        (contains (History.describe c) "nan"))
+    [ slower; faster ]
+
+(* The same-fingerprint line is pinned by regress_identical. *)
+let regress_fingerprints () =
+  check_bool "different configuration" true
+    (contains
+       (History.describe (decide (sample_entry 0) (sample_entry 1)))
+       "entry 1 vs baseline 0 (different configuration): ")
+
+(* ------------------------------------------------------------------ *)
 (* Daemon oplog on the artifact layer                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -624,6 +705,16 @@ let () =
             ledger_refuses_corrupt_append;
         ]
         @ log_props (module Ledger) (lazy ((), List.init 4 sample_entry)) );
+      ( "regress",
+        [
+          Alcotest.test_case "identical entries" `Quick regress_identical;
+          Alcotest.test_case "slower and faster" `Quick
+            regress_slower_and_faster;
+          Alcotest.test_case "effect floor d = 0.2" `Quick regress_effect_floor;
+          Alcotest.test_case "run floor 3 a side" `Quick regress_run_floor;
+          Alcotest.test_case "zero spread" `Quick regress_zero_spread;
+          Alcotest.test_case "fingerprints" `Quick regress_fingerprints;
+        ] );
       ( "oplog",
         log_props (module Oplog) ~reopen:reopen_oplog
           (lazy ((), List.init 5 oplog_record))
