@@ -15,8 +15,18 @@ let bench_arg =
   let doc = "Benchmark name (one of the 18 SPEC-like workloads; see `szc list')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
-let runs_term =
-  Arg.(value & opt int 30 & info [ "runs"; "n" ] ~docv:"N" ~doc:"Number of runs.")
+(* [--runs] below [least] is a usage error: one line on stderr, exit 1. *)
+let runs_at_least least =
+  let check n =
+    if n >= least then Ok n
+    else Error (Printf.sprintf "--runs must be at least %d, got %d" least n)
+  in
+  Term.(
+    term_result'
+      (const check
+      $ Arg.(value & opt int 30 & info [ "runs"; "n" ] ~docv:"N" ~doc:"Number of runs.")))
+
+let runs_term = runs_at_least 1
 
 let seed_term =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Base random seed.")
@@ -50,15 +60,18 @@ let opt_term =
 
 let flag names doc = Arg.(value & flag & info names ~doc)
 
+let alloc_conv =
+  Arg.conv
+    ( (fun s ->
+        match Stz_alloc.Allocator.kind_of_string s with
+        | Some k -> Ok k
+        | None -> Error (`Msg ("unknown allocator " ^ s))),
+      fun fmt k -> Format.pp_print_string fmt (Stz_alloc.Allocator.kind_to_string k) )
+
 let config_term =
   let make no_code no_stack no_heap onetime baseline adaptive interval shuffle_n
       alloc block_grain fixed_tables link_random env_bytes =
     let base = if baseline then Stabilizer.Config.baseline else Stabilizer.Config.stabilizer in
-    let alloc_kind =
-      match Stz_alloc.Allocator.kind_of_string alloc with
-      | Some k -> k
-      | None -> failwith ("unknown allocator " ^ alloc)
-    in
     {
       Stabilizer.Config.code = base.Stabilizer.Config.code && not no_code;
       stack = base.Stabilizer.Config.stack && not no_stack;
@@ -68,7 +81,7 @@ let config_term =
       adaptive;
       adaptive_threshold = base.Stabilizer.Config.adaptive_threshold;
       shuffle_n;
-      base_allocator = alloc_kind;
+      base_allocator = alloc;
       granularity =
         (if block_grain then Stz_layout.Code_rand.Block_grain
          else Stz_layout.Code_rand.Function_grain);
@@ -96,7 +109,8 @@ let config_term =
         & info [ "interval" ] ~docv:"CYCLES" ~doc:"Re-randomization interval.")
     $ Arg.(value & opt int 256 & info [ "shuffle-n" ] ~docv:"N" ~doc:"Shuffling parameter N.")
     $ Arg.(
-        value & opt string "segregated"
+        value
+        & opt alloc_conv Stz_alloc.Allocator.Segregated
         & info [ "alloc" ] ~docv:"KIND" ~doc:"Base allocator: segregated, tlsf or diehard.")
     $ flag [ "block-grain" ] "Randomize at basic-block granularity (paper §8)."
     $ flag [ "fixed-tables" ]
@@ -203,15 +217,6 @@ let metrics_term =
           "Write a flat `key value' metrics snapshot (hardware-counter \
            totals, censoring tallies, epochs/relocations, retries).")
 
-let lanes_term =
-  Arg.(
-    value & opt int 4
-    & info [ "lanes" ] ~docv:"N"
-        ~doc:
-          "Virtual worker lanes in the exported trace. Runs are dealt \
-           round-robin onto lanes independently of $(b,--jobs), so traces \
-           stay byte-identical across worker counts.")
-
 (* Every exported artifact goes through the durable store path: temp
    file + fsync + rename, plus a CRC32 sidecar (path.sum) that `szc
    fsck' and `szc check-trace' verify. The payload itself stays plain
@@ -275,8 +280,7 @@ let list_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let run bench runs seed scale opt csv config jobs trace metrics lanes profiled
-      =
+  let run bench runs seed scale opt csv config jobs trace metrics profiled =
     let* prof = lookup_bench bench scale in
     let p = Stz_workloads.Generate.program prof in
     let sample =
@@ -291,8 +295,7 @@ let run_cmd =
     (match trace with
     | Some path ->
         let tr =
-          Stabilizer.Rollup.trace_of_outcomes ~lanes
-            sample.Stabilizer.Sample.outcomes
+          Stabilizer.Rollup.trace_of_outcomes sample.Stabilizer.Sample.outcomes
         in
         write_file path
           (Stz_telemetry.Export.chrome_string (Stz_telemetry.Trace.events tr))
@@ -316,24 +319,35 @@ let run_cmd =
              Printf.sprintf " adaptive=%d" r.Stabilizer.Runtime.adaptive_triggers
            else ""))
       sample.Stabilizer.Sample.results;
-    Printf.printf "mean %.6f s   sd %.6f   cv %.4f\n" (Stz_stats.Desc.mean times)
-      (Stz_stats.Desc.std_dev times)
-      (Stz_stats.Desc.std_dev times /. Stz_stats.Desc.mean times);
-    if runs >= 3 then begin
-      let sw = Stz_stats.Shapiro.test times in
-      Printf.printf "Shapiro-Wilk: W = %.4f, p = %.4f -> %s\n" sw.Stz_stats.Shapiro.w
-        sw.Stz_stats.Shapiro.p_value
-        (if sw.Stz_stats.Shapiro.p_value >= 0.05 then "plausibly normal"
-         else "not normal")
-    end;
-    if profiled then begin
-      Printf.printf "# hottest functions over %d runs (exclusive counters)\n"
-        runs;
-      top_table ~top:12
-        ~total_cycles:(Array.fold_left ( + ) 0 sample.Stabilizer.Sample.cycles)
-        (merged_profile sample)
-    end;
-    Ok 0
+    let completed = Array.length times in
+    if completed = 0 then begin
+      Printf.eprintf "szc: run aborted: every run was censored\n";
+      Ok 3
+    end
+    else begin
+      let mean = Stz_stats.Desc.mean times in
+      if completed < 2 then Printf.printf "mean %.6f s\n" mean
+      else
+        Printf.printf "mean %.6f s   sd %.6f   cv %.4f\n" mean
+          (Stz_stats.Desc.std_dev times)
+          (Stz_stats.Desc.std_dev times /. mean);
+      if completed >= 3 && Stz_stats.Desc.min times < Stz_stats.Desc.max times
+      then begin
+        let sw = Stz_stats.Shapiro.test times in
+        Printf.printf "Shapiro-Wilk: W = %.4f, p = %.4f -> %s\n" sw.Stz_stats.Shapiro.w
+          sw.Stz_stats.Shapiro.p_value
+          (if sw.Stz_stats.Shapiro.p_value >= 0.05 then "plausibly normal"
+           else "not normal")
+      end;
+      if profiled then begin
+        Printf.printf "# hottest functions over %d runs (exclusive counters)\n"
+          runs;
+        top_table ~top:12
+          ~total_cycles:(Array.fold_left ( + ) 0 sample.Stabilizer.Sample.cycles)
+          (merged_profile sample)
+      end;
+      Ok 0
+    end
   in
   let term =
     Term.(
@@ -343,7 +357,7 @@ let run_cmd =
             value
             & opt (some string) None
             & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the samples as CSV.")
-        $ config_term $ jobs_term $ trace_term $ metrics_term $ lanes_term
+        $ config_term $ jobs_term $ trace_term $ metrics_term
         $ flag [ "profile" ]
             "Also profile every run and print the merged hottest-function \
              table (see `szc top')."))
@@ -358,12 +372,10 @@ let run_cmd =
 
 let compare_cmd =
   let run bench runs seed scale config opt_a opt_b profile min_n retries jobs
-      trace metrics lanes =
+      trace metrics =
     let* prof = lookup_bench bench scale in
     let p = Stz_workloads.Generate.program prof in
-    let arm () =
-      Option.map (fun _ -> Stz_telemetry.Trace.create ~lanes ()) trace
-    in
+    let arm () = Option.map (fun _ -> Stz_telemetry.Trace.create ()) trace in
     let tel_a = arm () and tel_b = arm () in
     let a, b, verdict =
       Stabilizer.Driver.compare_campaigns ~policy:(policy_of retries) ~profile
@@ -433,7 +445,7 @@ let compare_cmd =
             value & opt level_conv Stz_vm.Opt.O2
             & info [ "opt-b" ] ~docv:"LEVEL" ~doc:"Second optimization level.")
         $ faults_term $ min_n_term $ retries_term $ jobs_term $ trace_term
-        $ metrics_term $ lanes_term))
+        $ metrics_term))
   in
   Cmd.v
     (Cmd.info "compare"
@@ -513,32 +525,40 @@ let power_cmd =
       Stabilizer.Sample.times ~config ~base_seed:(Int64.of_int seed) ~runs
         ~args:Stz_workloads.Generate.default_args p
     in
-    let cv = Stz_stats.Desc.std_dev pilot /. Stz_stats.Desc.mean pilot in
-    Printf.printf "# %s under %s: pilot of %d runs, cv = %.4f\n" bench
-      (Stabilizer.Config.describe config)
-      runs cv;
-    let effect =
-      Stz_stats.Power.effect_of_speedup ~speedup:(1.0 +. (pct /. 100.0)) ~cv
-    in
-    Printf.printf
-      "a %.2f%% change is a standardized effect of d = %.2f at this variability\n"
-      pct effect;
-    Printf.printf "runs per version for 80%% power at alpha = 0.05: %d\n"
-      (Stz_stats.Power.required_runs ~effect ());
-    Printf.printf "runs per version for 95%% power:                 %d\n"
-      (Stz_stats.Power.required_runs ~effect ~power:0.95 ());
-    let detectable =
-      Stz_stats.Power.detectable_effect ~n:runs () *. cv *. 100.0
-    in
-    Printf.printf
-      "with the pilot's %d runs you can detect changes of about %.2f%%\n" runs
-      detectable;
-    Ok 0
+    if Array.length pilot < 2 then begin
+      Printf.eprintf
+        "szc: power aborted: %d of %d pilot runs completed, need 2\n"
+        (Array.length pilot) runs;
+      Ok 3
+    end
+    else begin
+      let cv = Stz_stats.Desc.std_dev pilot /. Stz_stats.Desc.mean pilot in
+      Printf.printf "# %s under %s: pilot of %d runs, cv = %.4f\n" bench
+        (Stabilizer.Config.describe config)
+        runs cv;
+      let effect =
+        Stz_stats.Power.effect_of_speedup ~speedup:(1.0 +. (pct /. 100.0)) ~cv
+      in
+      Printf.printf
+        "a %.2f%% change is a standardized effect of d = %.2f at this variability\n"
+        pct effect;
+      Printf.printf "runs per version for 80%% power at alpha = 0.05: %d\n"
+        (Stz_stats.Power.required_runs ~effect ());
+      Printf.printf "runs per version for 95%% power:                 %d\n"
+        (Stz_stats.Power.required_runs ~effect ~power:0.95 ());
+      let detectable =
+        Stz_stats.Power.detectable_effect ~n:runs () *. cv *. 100.0
+      in
+      Printf.printf
+        "with the pilot's %d runs you can detect changes of about %.2f%%\n" runs
+        detectable;
+      Ok 0
+    end
   in
   let term =
     Term.(
       term_result
-        (const run $ bench_arg $ runs_term $ seed_term $ scale_term
+        (const run $ bench_arg $ runs_at_least 2 $ seed_term $ scale_term
         $ Arg.(
             value & opt float 1.0
             & info [ "change" ] ~docv:"PCT"
@@ -859,13 +879,11 @@ let fsck_cmd =
 
 let campaign_cmd =
   let run bench runs seed scale opt csv config profile min_n retries checkpoint
-      resume quiet jobs trace metrics lanes storage_faults storage_seed
+      resume quiet jobs trace metrics storage_faults storage_seed
       monitor_live ledger =
     let* prof = lookup_bench bench scale in
     let p = Stz_workloads.Generate.program prof in
-    let telemetry =
-      Option.map (fun _ -> Stz_telemetry.Trace.create ~lanes ()) trace
-    in
+    let telemetry = Option.map (fun _ -> Stz_telemetry.Trace.create ()) trace in
     (* The monitor is armed by --monitor (live status) and by --ledger
        (its final verdict goes into the history entry). *)
     let monitor =
@@ -978,7 +996,7 @@ let campaign_cmd =
             "Resume the campaign from --checkpoint if the file exists. A \
              corrupted checkpoint resumes from its longest valid prefix."
         $ flag [ "quiet" ] "Suppress per-run progress lines."
-        $ jobs_term $ trace_term $ metrics_term $ lanes_term
+        $ jobs_term $ trace_term $ metrics_term
         $ storage_faults_term $ storage_seed_term
         $ flag [ "monitor" ]
             "Stream live statistics after every finished run (running \
@@ -1041,6 +1059,8 @@ let history_cmd =
     | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
     | Ok ((), entries) -> (
         match show with
+        | Some n when n < 0 ->
+            Error (`Msg (Printf.sprintf "--show must be at least 0, got %d" n))
         | Some n -> (
             match List.nth_opt entries n with
             | None ->
@@ -1188,8 +1208,14 @@ let selftest_cmd =
   let run budget seed jobs =
     let t0 = Sys.time () in
     let within_budget () = Sys.time () -. t0 < float_of_int budget in
-    let failures = ref [] in
-    let check name ok = if not ok then failures := name :: !failures in
+    let failures = ref [] and checks = ref 0 and skipped = ref 0 in
+    let check name ok =
+      incr checks;
+      if not ok then failures := name :: !failures
+    in
+    (* Each step runs only while the budget lasts. A skipped step is
+       counted and fails the selftest: "ok" means every step ran. *)
+    let step f = if within_budget () then f () else incr skipped in
     let tiny =
       {
         Stz_workloads.Profile.default with
@@ -1237,7 +1263,7 @@ let selftest_cmd =
     in
     List.iter
       (fun (name, profile) ->
-        if within_budget () then begin
+        step @@ fun () ->
           match campaign profile with
           | exception e ->
               check
@@ -1256,14 +1282,13 @@ let selftest_cmd =
                 (List.for_all
                    (fun r ->
                      r.S.Supervisor.retries <= policy.S.Supervisor.max_retries)
-                   c.S.Supervisor.records)
-        end)
+                   c.S.Supervisor.records))
       profiles;
     (* The budget and reference gates, checked directly: address-level
        faults cannot change these workloads' answers (every load follows
        a store to the same location), so Invalid_result is exercised
        against a doctored reference instead. *)
-    if within_budget () then begin
+    step (fun () ->
       match
         S.Outcome.run ~config ~seed:base_seed p ~args:[ 1 ]
       with
@@ -1283,10 +1308,9 @@ let selftest_cmd =
       | o ->
           check
             (Printf.sprintf "clean run completed (got %s)" (S.Outcome.to_string o))
-            false
-    end;
+            false);
     (* Checkpoint round-trip + resume identity under the heavy profile. *)
-    if within_budget () then begin
+    step (fun () ->
       let path = Filename.temp_file "szc-selftest" ".json" in
       let c1 = campaign ~checkpoint:path F.heavy in
       (match S.Supervisor.load path with
@@ -1298,24 +1322,22 @@ let selftest_cmd =
       check "resume over a finished campaign is the identity"
         (c1.S.Supervisor.records = c3.S.Supervisor.records
         && S.Supervisor.times c1 = S.Supervisor.times c3);
-      Sys.remove path
-    end;
+      Sys.remove path);
     (* Parallel determinism: --jobs N must be bit-identical to serial. *)
-    if jobs > 1 && within_budget () then begin
+    if jobs > 1 then step (fun () ->
       let serial = campaign ~jobs:1 F.light in
       let par = campaign ~jobs F.light in
       check
         (Printf.sprintf "--jobs %d campaign is bit-identical to serial" jobs)
         (S.Report.csv_of_campaign serial = S.Report.csv_of_campaign par
-        && S.Supervisor.to_json serial = S.Supervisor.to_json par)
-    end;
-    match !failures with
-    | [] ->
-        Printf.printf "selftest ok (%.1fs)\n" (Sys.time () -. t0);
-        0
-    | fs ->
-        List.iter (fun f -> Printf.eprintf "selftest FAILED: %s\n" f) (List.rev fs);
-        3
+        && S.Supervisor.to_json serial = S.Supervisor.to_json par));
+    List.iter (fun f -> Printf.eprintf "selftest FAILED: %s\n" f) (List.rev !failures);
+    let verdict =
+      if !failures <> [] then "FAILED" else if !skipped > 0 then "incomplete" else "ok"
+    in
+    Printf.printf "selftest %s: %d checks, %d steps skipped (%.1fs)\n" verdict
+      !checks !skipped (Sys.time () -. t0);
+    if verdict = "ok" then 0 else 3
   in
   let term =
     Term.(
@@ -1323,7 +1345,9 @@ let selftest_cmd =
       $ Arg.(
           value & opt int 30
           & info [ "budget-seconds" ] ~docv:"S"
-              ~doc:"Wall budget; later campaigns are skipped once exceeded.")
+              ~doc:
+                "CPU-time budget; once it is spent, later steps are skipped \
+                 and the selftest exits 3.")
       $ seed_term $ jobs_term)
   in
   Cmd.v
@@ -1331,7 +1355,8 @@ let selftest_cmd =
        ~doc:
          "Smoke-test the fault-injection harness: one small campaign per \
           fault class and preset profile, plus checkpoint/resume identity. \
-          Exit 0 on pass, 3 on failure.")
+          Exit 0 when every step ran and passed, 3 on a failure or a step \
+          skipped over the budget.")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -7,9 +7,6 @@ type state = {
   source : Stz_prng.Source.t;
   n : int;
   arrays : class_array option array;
-  (* The shuffle array holds blocks of the class's rounded size; remember
-     the request size we used so stats stay sensible. *)
-  mutable extra_live : int;
 }
 
 (* Fill a fresh class array with N objects from the base heap and give
@@ -17,7 +14,6 @@ type state = {
 let init_class s c =
   let size = Segregated.size_of_class c in
   let entries = Array.init s.n (fun _ -> s.base.Allocator.malloc size) in
-  s.extra_live <- s.extra_live + (s.n * size);
   Stz_prng.Source.shuffle_in_place s.source entries;
   let arr = { entries } in
   s.arrays.(c) <- Some arr;
@@ -28,9 +24,7 @@ let class_array s c =
 
 let create ~source ?(n = default_n) base =
   if n < 1 then invalid_arg "Shuffle.create: n must be >= 1";
-  let s =
-    { base; source; n; arrays = Array.make 32 None; extra_live = 0 }
-  in
+  let s = { base; source; n; arrays = Array.make 32 None } in
   let malloc size =
     let c = Segregated.class_of_size size in
     let arr = class_array s c in

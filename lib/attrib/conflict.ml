@@ -46,24 +46,18 @@ let event_cost (cost : Cost.t) = function
 
 let add_arrays a b = Array.mapi (fun i x -> x + b.(i)) a
 
+let check_funcs a b =
+  if a <> b then invalid_arg "Conflict.merge: function-count mismatch"
+
 let merge_cache (a : Cache.attrib_view) (b : Cache.attrib_view) =
-  if a.Cache.funcs <> b.Cache.funcs then
-    invalid_arg "Conflict.merge: function-count mismatch";
-  {
-    Cache.funcs = a.Cache.funcs;
-    set_accesses = add_arrays a.Cache.set_accesses b.Cache.set_accesses;
-    set_misses = add_arrays a.Cache.set_misses b.Cache.set_misses;
-    evictions = add_arrays a.Cache.evictions b.Cache.evictions;
-  }
+  check_funcs a.Cache.funcs b.Cache.funcs;
+  { a with Cache.evictions = add_arrays a.Cache.evictions b.Cache.evictions }
 
 let merge_branch (a : Branch.attrib_view) (b : Branch.attrib_view) =
-  if a.Branch.funcs <> b.Branch.funcs then
-    invalid_arg "Conflict.merge: function-count mismatch";
+  check_funcs a.Branch.funcs b.Branch.funcs;
   {
-    Branch.funcs = a.Branch.funcs;
-    slot_accesses = add_arrays a.Branch.slot_accesses b.Branch.slot_accesses;
-    aliases = add_arrays a.Branch.aliases b.Branch.aliases;
-    alias_mispredictions =
+    a with
+    Branch.alias_mispredictions =
       add_arrays a.Branch.alias_mispredictions b.Branch.alias_mispredictions;
   }
 

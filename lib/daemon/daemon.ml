@@ -133,7 +133,7 @@ let refresh_gauges st =
   Ops.set_gauge st.ops "quota.campaigns.inflight" (Quota.in_flight st.quota);
   Ops.set_gauge st.ops "quota.runs.inflight" (Quota.global_runs st.quota);
   Ops.set_gauge st.ops "quota.runs.budget" lim.Quota.global_run_budget;
-  Ops.set_gauge st.ops "quota.tenants" (List.length (Quota.usage st.quota));
+  Ops.set_gauge st.ops "quota.tenants" (Quota.tenants st.quota);
   Ops.set_gauge st.ops "clients.connected"
     (List.length (List.filter (fun c -> c.alive) st.clients));
   Ops.set_gauge st.ops "runners.live" (List.length st.runners);

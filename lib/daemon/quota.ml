@@ -81,11 +81,4 @@ let in_flight t = t.total_campaigns
 let global_runs t = t.global_runs
 let limits t = t.limits
 
-type usage = { u_tenant : string; u_campaigns : int; u_runs : int }
-
-let usage t =
-  Hashtbl.fold
-    (fun tenant s acc ->
-      { u_tenant = tenant; u_campaigns = s.campaigns; u_runs = s.runs } :: acc)
-    t.tenants []
-  |> List.sort (fun a b -> String.compare a.u_tenant b.u_tenant)
+let tenants t = Hashtbl.length t.tenants

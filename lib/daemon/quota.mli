@@ -50,8 +50,7 @@ val global_runs : t -> int
 
 val limits : t -> limits
 
-(** Per-tenant reservation snapshot, sorted by tenant — the ops
-    plane's quota-occupancy view. *)
-type usage = { u_tenant : string; u_campaigns : int; u_runs : int }
-
-val usage : t -> usage list
+(** Tenants the quota tracks — the ops plane's quota-occupancy gauge.
+    A tenant is tracked from its first admission attempt until a
+    release leaves it with no campaign and no run. *)
+val tenants : t -> int

@@ -66,7 +66,7 @@ let exec ~grant_r ~event_w ~dir ~(spec : Spool.spec) ~resume ~disarm_storage =
     if spec.Spool.ledger then Some (Stz_monitor.Monitor.create ()) else None
   in
   let telemetry =
-    if spec.Spool.trace then Some (Stz_telemetry.Trace.create ~lanes:4 ())
+    if spec.Spool.trace then Some (Stz_telemetry.Trace.create ())
     else None
   in
   (* Under a wedge-free profile nothing can legitimately hang, and a

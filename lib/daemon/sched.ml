@@ -61,10 +61,9 @@ let grants t =
 let busy t = t.busy
 let slots t = t.slots
 
-type flow_stat = { f_key : string; f_want : int; f_deficit : int; f_held : int }
+type flow_stat = { f_key : string; f_deficit : int; f_held : int }
 
 let flows t =
   List.map
-    (fun f ->
-      { f_key = f.key; f_want = f.want; f_deficit = f.deficit; f_held = f.held })
+    (fun f -> { f_key = f.key; f_deficit = f.deficit; f_held = f.held })
     t.flows

@@ -38,7 +38,7 @@ val busy : t -> int
 val slots : t -> int
 
 (** Per-flow DRR state in arrival order — the ops plane's scheduler
-    view (outstanding want, accumulated deficit, slots held). *)
-type flow_stat = { f_key : string; f_want : int; f_deficit : int; f_held : int }
+    view (accumulated deficit, slots held). *)
+type flow_stat = { f_key : string; f_deficit : int; f_held : int }
 
 val flows : t -> flow_stat list

@@ -2,9 +2,7 @@ type kind = Bimodal | Gshare of int
 
 type attrib_view = {
   funcs : int;
-  slot_accesses : int array;
-  aliases : int array;  (** funcs*funcs, [prev*funcs + curr] *)
-  alias_mispredictions : int array;
+  alias_mispredictions : int array;  (** funcs*funcs, [prev*funcs + curr] *)
 }
 
 (* Off-by-default alias recorder; see cache.mli — same plane-separation
@@ -13,8 +11,6 @@ type attrib = {
   a_funcs : int;
   mutable owner : int;
   slot_owner : int array;  (** last function to train each entry, -1 *)
-  a_slot_accesses : int array;
-  a_aliases : int array;
   a_alias_mispredictions : int array;
 }
 
@@ -55,8 +51,6 @@ let arm_attrib t ~funcs =
         a_funcs = funcs;
         owner = -1;
         slot_owner = Array.make entries (-1);
-        a_slot_accesses = Array.make entries 0;
-        a_aliases = Array.make (funcs * funcs) 0;
         a_alias_mispredictions = Array.make (funcs * funcs) 0;
       }
 
@@ -72,8 +66,6 @@ let attrib_view t =
       Some
         {
           funcs = a.a_funcs;
-          slot_accesses = Array.copy a.a_slot_accesses;
-          aliases = Array.copy a.a_aliases;
           alias_mispredictions = Array.copy a.a_alias_mispredictions;
         }
 
@@ -94,13 +86,10 @@ let predict_and_update t ~pc ~taken =
   (match t.attrib with
   | None -> ()
   | Some a ->
-      a.a_slot_accesses.(i) <- a.a_slot_accesses.(i) + 1;
       let prev = a.slot_owner.(i) in
-      if prev >= 0 && a.owner >= 0 && prev <> a.owner then begin
+      if (not correct) && prev >= 0 && a.owner >= 0 && prev <> a.owner then begin
         let k = (prev * a.a_funcs) + a.owner in
-        a.a_aliases.(k) <- a.a_aliases.(k) + 1;
-        if not correct then
-          a.a_alias_mispredictions.(k) <- a.a_alias_mispredictions.(k) + 1
+        a.a_alias_mispredictions.(k) <- a.a_alias_mispredictions.(k) + 1
       end;
       if a.owner >= 0 then a.slot_owner.(i) <- a.owner);
   let counter' =
@@ -125,8 +114,6 @@ let reset t =
   | Some a ->
       a.owner <- -1;
       Array.fill a.slot_owner 0 (Array.length a.slot_owner) (-1);
-      Array.fill a.a_slot_accesses 0 (Array.length a.a_slot_accesses) 0;
-      Array.fill a.a_aliases 0 (Array.length a.a_aliases) 0;
       Array.fill a.a_alias_mispredictions 0
         (Array.length a.a_alias_mispredictions)
         0

@@ -30,23 +30,18 @@ val index_of : t -> int -> int
 
 (** {1 Conflict attribution}
 
-    Off-by-default alias recorder, same plane-separation contract as
-    {!Cache}: dark it costs one option check per branch; lit it never
-    feeds back into predictions, training, or counters. *)
+    Off-by-default alias recorder that keeps only alias mispredictions,
+    same plane-separation contract as {!Cache}. It must note which
+    function last trained each entry, so dark it costs one option check
+    per branch, not per misprediction; lit it never feeds back into
+    predictions, training, or counters. *)
 
-(** [aliases] is a [funcs*funcs] row-major matrix: entry
-    [prev*funcs + curr] counts branches from function [curr] that
-    landed on a table entry last trained by function [prev]
-    (cross-function only). [alias_mispredictions] is the subset of
-    those events that coincided with a misprediction — the
-    destructive-interference signal the paper's §5.2 credits for
-    code-randomization speedups. *)
-type attrib_view = {
-  funcs : int;
-  slot_accesses : int array;  (** per table entry *)
-  aliases : int array;
-  alias_mispredictions : int array;
-}
+(** [alias_mispredictions] is a [funcs*funcs] row-major matrix: entry
+    [prev*funcs + curr] counts mispredicted branches from function
+    [curr] that landed on a table entry last trained by function [prev]
+    (cross-function only) — the destructive-interference signal the
+    paper's §5.2 credits for code-randomization speedups. *)
+type attrib_view = { funcs : int; alias_mispredictions : int array }
 
 val arm_attrib : t -> funcs:int -> unit
 val attrib_armed : t -> bool

@@ -6,7 +6,6 @@
     total capacity is free. *)
 
 type config = {
-  name : string;
   sets : int;  (** power of two *)
   ways : int;
   line_bits : int;  (** log2 of the line size in bytes *)
@@ -18,7 +17,6 @@ type t
     positive power of two, [ways] is positive and [line_bits] is
     between 0 and 62. *)
 val create : config -> t
-val config : t -> config
 
 (** [access t addr] touches the line containing [addr]; returns [true]
     on hit. Every access stamps its way with the next value of a
@@ -30,9 +28,9 @@ val config : t -> config
     An access to the same line as this cache's previous access hits the
     way that access used without scanning the set. The path is
     transparent: nothing touched the cache in between, so the scan
-    would find the line in that same way, and the fast path stamps it
-    and counts the access exactly as the scan would. {!flush} and
-    {!reset} forget the previous line.
+    would find the line in that same way, and the fast path stamps the
+    way exactly as the scan would. {!flush} and {!reset} forget the
+    previous line.
 
     In practice only the TLBs take this path. {!Hierarchy} calls L1I
     only when the fetch line changes, and on the default machine it
@@ -45,16 +43,15 @@ val access : t -> int -> bool
 (** [probe t addr] is [true] if the line is resident; no state change. *)
 val probe : t -> int -> bool
 
-val accesses : t -> int
 val misses : t -> int
 
 (** A fresh cache: invalidate all lines, zero the LRU stamps, the clock
-    and the statistics, and clear the conflict recorder if armed. Any
+    and the miss count, and clear the conflict recorder if armed. Any
     access stream afterwards hits and misses exactly as on a newly
     created cache of the same geometry. *)
 val reset : t -> unit
 
-(** Invalidate all lines, keep statistics. *)
+(** Invalidate all lines, keep the miss count. *)
 val flush : t -> unit
 
 (** The range of address bits (lo, hi) that select the set, e.g. (6, 12)
@@ -65,22 +62,17 @@ val index_bits : t -> int * int
 (** {1 Conflict attribution}
 
     An off-by-default observer plane for layout-bias diagnosis ([szc
-    explain]): per-set occupancy plus a per-function eviction matrix
-    recording who evicted whose lines. Dark ([attrib_armed t = false],
-    the default) it costs one option check per access and changes no
-    observable state; lit, it still never feeds back into hits, misses,
-    LRU order or the clock — counters are identical either way. *)
+    explain]): a per-function eviction matrix recording who evicted
+    whose lines. Only a miss touches it, so dark ([attrib_armed t = false], the default) it costs one
+    option check per miss and changes no observable state; lit, it
+    still never feeds back into hits, misses, LRU order or the clock —
+    counters are identical either way. *)
 
 (** Immutable copy of the recorder state. [evictions] is a
     [funcs*funcs] row-major matrix: entry [victim*funcs + evictor]
     counts valid lines installed by function [victim] that were evicted
     by a miss from function [evictor] (cross-function only). *)
-type attrib_view = {
-  funcs : int;
-  set_accesses : int array;  (** accesses landing in each set *)
-  set_misses : int array;  (** misses landing in each set *)
-  evictions : int array;
-}
+type attrib_view = { funcs : int; evictions : int array }
 
 (** Arm the recorder for a program with [funcs] functions (fids
     [0..funcs-1]). Re-arming starts a fresh recorder. *)

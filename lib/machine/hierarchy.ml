@@ -37,20 +37,12 @@ type t = {
    SPEC runs, and scaling the caches keeps the working-set-to-cache
    ratios — and therefore the layout sensitivity the paper studies —
    in the same regime. Pass explicit configs for a full-size machine. *)
-let default_l1i =
-  { Cache.name = "L1I"; sets = 64; ways = 2; line_bits = 6 } (* 8 KiB *)
-
-let default_l1d =
-  { Cache.name = "L1D"; sets = 64; ways = 2; line_bits = 6 } (* 8 KiB *)
-
-let default_l2 =
-  { Cache.name = "L2"; sets = 128; ways = 8; line_bits = 6 } (* 64 KiB *)
-
-let default_l3 =
-  { Cache.name = "L3"; sets = 1024; ways = 16; line_bits = 6 } (* 1 MiB *)
-
-let default_itlb = { Tlb.name = "ITLB"; entries = 32; ways = 4; page_bits = 12 }
-let default_dtlb = { Tlb.name = "DTLB"; entries = 32; ways = 4; page_bits = 12 }
+let default_l1i = { Cache.sets = 64; ways = 2; line_bits = 6 } (* 8 KiB *)
+let default_l1d = { Cache.sets = 64; ways = 2; line_bits = 6 } (* 8 KiB *)
+let default_l2 = { Cache.sets = 128; ways = 8; line_bits = 6 } (* 64 KiB *)
+let default_l3 = { Cache.sets = 1024; ways = 16; line_bits = 6 } (* 1 MiB *)
+let default_itlb = { Tlb.entries = 32; ways = 4; page_bits = 12 }
+let default_dtlb = { Tlb.entries = 32; ways = 4; page_bits = 12 }
 
 let create ?(cost = Cost.default) ?(l1i = default_l1i) ?(l1d = default_l1d)
     ?(l2 = default_l2) ?(l3 = default_l3) ?(itlb = default_itlb)

@@ -1,4 +1,4 @@
-type config = { name : string; entries : int; ways : int; page_bits : int }
+type config = { entries : int; ways : int; page_bits : int }
 
 type t = { cache : Cache.t }
 
@@ -11,18 +11,13 @@ let create cfg =
     invalid_arg "Tlb.create: entries / ways must be a power of two";
   if cfg.page_bits < 0 || cfg.page_bits > 62 then
     invalid_arg "Tlb.create: page_bits must be in [0, 62]";
-  {
-    cache =
-      Cache.create
-        { Cache.name = cfg.name; sets; ways = cfg.ways; line_bits = cfg.page_bits };
-  }
+  { cache = Cache.create { Cache.sets; ways = cfg.ways; line_bits = cfg.page_bits } }
 
 let access t addr = Cache.access t.cache addr
 let arm_attrib t ~funcs = Cache.arm_attrib t.cache ~funcs
 let attrib_armed t = Cache.attrib_armed t.cache
 let set_attrib_owner t fid = Cache.set_attrib_owner t.cache fid
 let attrib_view t = Cache.attrib_view t.cache
-let accesses t = Cache.accesses t.cache
 let misses t = Cache.misses t.cache
 let flush t = Cache.flush t.cache
 let reset t = Cache.reset t.cache

@@ -4,7 +4,6 @@
     paper attributes most of the slowdown to added TLB pressure). *)
 
 type config = {
-  name : string;
   entries : int;  (** total entries, power of two *)
   ways : int;
   page_bits : int;  (** log2 page size, 12 for 4 KiB pages *)
@@ -23,10 +22,9 @@ val create : config -> t
     path. *)
 val access : t -> int -> bool
 
-val accesses : t -> int
 val misses : t -> int
 
-(** Drop all translations, keep statistics. *)
+(** Drop all translations, keep the miss count. *)
 val flush : t -> unit
 
 (** A fresh TLB, as {!Cache.reset}. *)
@@ -35,9 +33,9 @@ val reset : t -> unit
 (** {1 Conflict attribution}
 
     Delegated to the underlying set-associative translation cache; for
-    a TLB the "sets" of the {!Cache.attrib_view} are translation sets
-    and evictions are page-translation conflicts. Same plane-separation
-    contract as {!Cache}. *)
+    a TLB the evictions of the {!Cache.attrib_view} are
+    page-translation conflicts. Same plane-separation contract and
+    cost as {!Cache}: dark, one option check per miss. *)
 
 val arm_attrib : t -> funcs:int -> unit
 val attrib_armed : t -> bool

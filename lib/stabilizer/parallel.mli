@@ -37,8 +37,7 @@ type 'a result = Value of 'a | Lost | Hung
 
 (** Physical pool lifecycle, observed from the parent. These facts are
     wall-clock nondeterministic (which pid, when, whether a respawn
-    happened) — telemetry records them on the segregated harness
-    stream, never in the deterministic trace. Not emitted on the
+    happened), so no campaign trace records them. Not emitted on the
     in-process ([jobs <= 1], no watchdog) path, which forks nothing. *)
 type pool_event =
   | Worker_spawned of { pid : int; tasks : int }

@@ -9,17 +9,6 @@ let csv_of_sample (s : Sample.t) =
     s.Sample.times;
   Buffer.contents buf
 
-let csv_of_series series =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "label,run,seconds\n";
-  List.iter
-    (fun (label, times) ->
-      Array.iteri
-        (fun i t -> Buffer.add_string buf (Printf.sprintf "%s,%d,%.9f\n" label i t))
-        times)
-    series;
-  Buffer.contents buf
-
 (* Power of the collected sample at Cohen's conventional medium effect
    (d = 0.5), and the smallest effect detectable at the conventional
    0.8 power — §2.3's "how many runs do I need?" answered for the runs
@@ -137,24 +126,3 @@ let summary_line xs =
     (Array.length xs) (Desc.min xs) (Desc.quantile xs 0.25) (Desc.median xs)
     (Desc.quantile xs 0.75) (Desc.max xs) (Desc.mean xs)
     (if Array.length xs >= 2 then Desc.std_dev xs else 0.0)
-
-let ascii_histogram ?(bins = 10) ?(width = 50) xs =
-  if Array.length xs = 0 then invalid_arg "Report.ascii_histogram: empty";
-  if bins < 1 then invalid_arg "Report.ascii_histogram: bins must be >= 1";
-  let lo = Desc.min xs and hi = Desc.max xs in
-  let span = if hi > lo then hi -. lo else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let b = Stdlib.min (bins - 1) (int_of_float ((x -. lo) /. span *. float_of_int bins)) in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  let peak = Array.fold_left Stdlib.max 1 counts in
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun b c ->
-      let from = lo +. (span *. float_of_int b /. float_of_int bins) in
-      let bar = String.make (c * width / peak) '#' in
-      Buffer.add_string buf (Printf.sprintf "%12.6f | %-*s %d\n" from width bar c))
-    counts;
-  Buffer.contents buf

@@ -4,10 +4,6 @@
 (** CSV of one sample set: header ["run,seconds,cycles"]. *)
 val csv_of_sample : Sample.t -> string
 
-(** CSV of several labelled time series, long format:
-    ["label,run,seconds"]. *)
-val csv_of_series : (string * float array) list -> string
-
 (** Campaign health on one line, e.g.
     ["runs 30/34, 3 retried (5 retries), 4 quarantined seeds, 1
      budget-exceeded, 0 invalid, 2 fuel-starvation, 1 alloc-failure,
@@ -36,6 +32,3 @@ val csv_of_campaign : Supervisor.campaign -> string
 
 (** Five-number summary plus mean/sd on one line. *)
 val summary_line : float array -> string
-
-(** Histogram of the samples as ASCII bars, [bins] rows. *)
-val ascii_histogram : ?bins:int -> ?width:int -> float array -> string

@@ -76,8 +76,8 @@ let of_sample (s : Sample.t) =
     s.Sample.failures;
   m
 
-let trace_of_outcomes ?lanes outcomes =
-  let tr = Trace.create ?lanes () in
+let trace_of_outcomes outcomes =
+  let tr = Trace.create () in
   Array.iteri
     (fun i (seed, outcome) ->
       Trace.add_run tr ~run:i

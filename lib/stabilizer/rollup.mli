@@ -22,6 +22,6 @@ val of_sample : Sample.t -> Stz_telemetry.Metrics.t
 
 (** Assemble a per-run outcome stream (as produced by
     {!Sample.collect_outcomes}, run order) into a campaign trace:
-    run [i] becomes a ["run"] span on lane [1 + i mod lanes]. *)
+    run [i] becomes a ["run"] span on lane [1 + i mod 4]. *)
 val trace_of_outcomes :
-  ?lanes:int -> (int64 * Outcome.run_outcome) array -> Stz_telemetry.Trace.t
+  (int64 * Outcome.run_outcome) array -> Stz_telemetry.Trace.t

@@ -80,7 +80,6 @@ type summary = {
   worker_lost : int;
   worker_hung : int;
   by_class : (Fault.fault_class * int) list;
-  retry_histogram : int array;
 }
 
 exception Mismatch of string
@@ -557,29 +556,6 @@ let restored_stream (r : record) =
   | Trapped (_, None) | Worker_lost | Worker_hung ->
       [ Event.Instant { name = "restored"; cat = "run"; lane = 0; ts = 0; args } ]
 
-let pool_event_args = function
-  | Parallel.Worker_spawned { pid; tasks } ->
-      ("worker-spawned", [ ("pid", Json.Int pid); ("tasks", Json.Int tasks) ])
-  | Parallel.Worker_done { pid } -> ("worker-done", [ ("pid", Json.Int pid) ])
-  | Parallel.Worker_died { pid; lost_task; respawned } ->
-      ( "worker-died",
-        [
-          ("pid", Json.Int pid);
-          ( "lost_task",
-            match lost_task with Some i -> Json.Int i | None -> Json.Null );
-          ("respawned", Json.Bool respawned);
-        ] )
-  | Parallel.Worker_hung { pid; lost_task; respawned } ->
-      ( "worker-hung",
-        [
-          ("pid", Json.Int pid);
-          ( "lost_task",
-            match lost_task with Some i -> Json.Int i | None -> Json.Null );
-          ("respawned", Json.Bool respawned);
-        ] )
-  | Parallel.Worker_spawn_failed { tasks } ->
-      ("worker-spawn-failed", [ ("tasks", Json.Int tasks) ])
-
 let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
     ?(limits = Interp.default_limits) ?(jobs = 1) ?checkpoint ?(resume = false)
     ?on_record ?telemetry ?monitor ?(dispatch = Parallel.pool_dispatcher)
@@ -910,13 +886,6 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
     (match on_record with Some f -> f r | None -> ());
     checkpoint_now ()
   in
-  let on_pool_event =
-    Option.map
-      (fun tr e ->
-        let name, args = pool_event_args e in
-        Trace.harness_instant tr ~args name)
-      telemetry
-  in
   (* A censored run's synthetic payload: no seeds to quarantine, an
      instant in the trace. Used for tasks whose worker died or hung. *)
   let censored_payload i stored outcome =
@@ -946,7 +915,7 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   in
   let dispatch_runs batch =
     let tasks = Array.of_list batch in
-    dispatch.Parallel.dispatch ?on_pool_event ?watchdog:(watchdog ()) ~jobs
+    dispatch.Parallel.dispatch ?watchdog:(watchdog ()) ~jobs
       ~on_result:(fun pos res ->
         let i = tasks.(pos) in
         deliver i
@@ -1014,13 +983,8 @@ let summarize c =
   let worker_lost = ref 0 in
   let worker_hung = ref 0 in
   let class_counts = Hashtbl.create 8 in
-  let max_retries =
-    List.fold_left (fun acc r -> Stdlib.max acc r.retries) 0 c.records
-  in
-  let retry_histogram = Array.make (max_retries + 1) 0 in
   List.iter
     (fun r ->
-      retry_histogram.(r.retries) <- retry_histogram.(r.retries) + 1;
       if r.retries > 0 then incr retried_runs;
       total_retries := !total_retries + r.retries;
       match r.outcome with
@@ -1058,7 +1022,6 @@ let summarize c =
         (fun cls ->
           (cls, Option.value ~default:0 (Hashtbl.find_opt class_counts cls)))
         Fault.all_classes;
-    retry_histogram;
   }
 
 let exit_code ~min_n s =

@@ -95,8 +95,6 @@ type summary = {
   worker_hung : int;  (** runs censored because their worker hung *)
   by_class : (Stz_faults.Fault.fault_class * int) list;
       (** final-outcome trap tallies, every class listed *)
-  retry_histogram : int array;
-      (** [histogram.(k)] = finished runs that took [k] retries *)
 }
 
 (** Raised only for unusable campaign setups: [runs < 1]; a
@@ -142,9 +140,9 @@ exception Mismatch of string
     shipped back with the result, then merged in run order, so the
     deterministic stream is byte-identical for any [jobs]); reference
     probe, budget freeze and checkpoint writes land on the control
-    lane; physical pool lifecycle goes to the trace's wall-clocked
-    harness stream. On resume, checkpointed runs re-enter the trace as
-    synthetic ["restored"] spans so the timeline stays consistent.
+    lane; the physical pool's lifecycle is not traced. On resume,
+    checkpointed runs re-enter the trace as synthetic ["restored"]
+    spans so the timeline stays consistent.
 
     [monitor] receives every finished run as a streaming observation
     ({!Stz_monitor.Monitor.observe_completed} /

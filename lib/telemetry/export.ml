@@ -38,9 +38,7 @@ let metadata ~pid ~tid ~kind ~label =
     ]
 
 let lane_label lane =
-  if lane = 0 then "control"
-  else if lane = Trace.harness_lane then "harness"
-  else Printf.sprintf "virtual-worker %d" (lane - 1)
+  if lane = 0 then "control" else Printf.sprintf "virtual-worker %d" (lane - 1)
 
 let sorted_lanes events =
   List.sort_uniq compare (List.map Event.lane events)
@@ -78,41 +76,6 @@ let chrome_string ?process_name events =
   Json.to_string (chrome ?process_name events) ^ "\n"
 
 let chrome_groups_string groups = Json.to_string (chrome_of_groups groups) ^ "\n"
-
-let jsonl events =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      let kind, extra =
-        match e with
-        | Event.Span { dur; _ } -> ("span", [ ("dur", Json.Int dur) ])
-        | Event.Instant _ -> ("instant", [])
-        | Event.Counter { values; _ } ->
-            ( "counter",
-              [ ("values", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) values)) ]
-            )
-      in
-      let line =
-        Json.Obj
-          ([
-             ("kind", Json.String kind);
-             ("name", Json.String (Event.name e));
-             ("cat", Json.String (Event.cat e));
-             ("lane", Json.Int (Event.lane e));
-             ("ts", Json.Int (Event.ts e));
-           ]
-          @ extra
-          @
-          match e with
-          | Event.Span { args = []; _ } | Event.Instant { args = []; _ } -> []
-          | Event.Span { args; _ } | Event.Instant { args; _ } ->
-              [ ("args", Json.Obj args) ]
-          | Event.Counter _ -> [])
-      in
-      Buffer.add_string buf (Json.to_string line);
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Validation: the check CI and tests run over an emitted trace file.   *)

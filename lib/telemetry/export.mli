@@ -19,9 +19,6 @@ val chrome_of_groups : (string * Event.t list) list -> Json.t
 
 val chrome_groups_string : (string * Event.t list) list -> string
 
-(** One JSON object per line, in stream order. *)
-val jsonl : Event.t list -> string
-
 (** Structural check used by [szc check-trace] and CI: the value must
     hold a [traceEvents] array of well-formed events with non-negative
     timestamps and at least one non-metadata event. Returns

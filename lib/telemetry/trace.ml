@@ -5,22 +5,12 @@ type t = {
   clocks : int array;  (* virtual clock per run lane, index 0 = lane 1 *)
   mutable control_clock : int;
   mutable events_rev : Event.t list;
-  mutable harness_rev : Event.t list;
-  wall_origin : float;  (* Sys.time at creation, for harness timestamps *)
 }
 
-let create ?(lanes = 1) () =
+let create ?(lanes = 4) () =
   if lanes < 1 then invalid_arg "Trace.create: lanes must be >= 1";
-  {
-    lanes;
-    clocks = Array.make lanes 0;
-    control_clock = 0;
-    events_rev = [];
-    harness_rev = [];
-    wall_origin = Sys.time ();
-  }
+  { lanes; clocks = Array.make lanes 0; control_clock = 0; events_rev = [] }
 
-let lanes t = t.lanes
 let lane_for t ~run = 1 + (run mod t.lanes)
 
 (* The virtual "now" of campaign-level bookkeeping: nothing the
@@ -47,20 +37,3 @@ let control_counter t ?(cat = "control") name ~values =
   push t (Event.Counter { name; cat; lane = control_lane; ts; values })
 
 let events t = List.rev t.events_rev
-
-(* ------------------------------------------------------------------ *)
-(* Harness events: nondeterministic, wall-clocked facts about the       *)
-(* physical execution (worker pids, respawns, reorder buffering).       *)
-(* Kept in a separate stream so the deterministic trace stays           *)
-(* byte-identical across worker counts; exporters only see them when    *)
-(* explicitly asked.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let harness_lane = 1000
-
-let harness_instant t ?(cat = "harness") ?(args = []) name =
-  let ts = int_of_float ((Sys.time () -. t.wall_origin) *. 1e6) in
-  t.harness_rev <-
-    Event.Instant { name; cat; lane = harness_lane; ts; args } :: t.harness_rev
-
-let harness_events t = List.rev t.harness_rev

@@ -12,17 +12,16 @@
     physical worker pool: physical scheduling (which fork ran which
     stripe, when) is wall-clock nondeterminism, and baking it into the
     trace would break the system's core guarantee that [--jobs N]
-    output is byte-identical to serial. The deterministic trace is
-    therefore a pure function of (seed, run count, lanes); what the
-    physical pool did is recorded separately as harness events. *)
+    output is byte-identical to serial. The trace is therefore a pure
+    function of (seed, run count, lanes), and records nothing of what
+    the physical pool did. *)
 
 type t
 
-(** [lanes] virtual worker lanes (default 1 — a single serial
-    timeline). Raises [Invalid_argument] when [lanes < 1]. *)
+(** [lanes] virtual worker lanes (default 4, the lane count of every
+    trace [szc] and [szcd] write). Raises [Invalid_argument] when
+    [lanes < 1]. *)
 val create : ?lanes:int -> unit -> t
-
-val lanes : t -> int
 
 (** The lane run [run] lands on: [1 + run mod lanes]. *)
 val lane_for : t -> run:int -> int
@@ -40,14 +39,5 @@ val control_instant : t -> ?cat:string -> ?args:Event.args -> string -> unit
 
 val control_counter : t -> ?cat:string -> string -> values:(string * int) list -> unit
 
-(** The deterministic stream, in insertion order. *)
+(** The event stream, in insertion order. *)
 val events : t -> Event.t list
-
-(** Nondeterministic facts about the physical execution (worker
-    spawn/death/respawn, reorder buffering), wall-clocked in
-    microseconds since trace creation on lane {!harness_lane}. Never
-    mixed into {!events}. *)
-val harness_instant : t -> ?cat:string -> ?args:Event.args -> string -> unit
-
-val harness_events : t -> Event.t list
-val harness_lane : int

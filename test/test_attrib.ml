@@ -47,7 +47,7 @@ let armed_run_counters_identical () =
     [ 1L; 7L; 1234567L ]
 
 let dark_recorder_is_dark () =
-  let mk () = Cache.create { Cache.name = "t"; sets = 4; ways = 2; line_bits = 6 } in
+  let mk () = Cache.create { Cache.sets = 4; ways = 2; line_bits = 6 } in
   let pattern c =
     List.iter (fun a -> ignore (Cache.access c a)) [ 0; 64; 256; 0; 512; 64 ]
   in
@@ -57,7 +57,6 @@ let dark_recorder_is_dark () =
   Cache.arm_attrib lit ~funcs:3;
   Cache.set_attrib_owner lit 1;
   pattern lit;
-  check_int "accesses" (Cache.accesses dark) (Cache.accesses lit);
   check_int "misses" (Cache.misses dark) (Cache.misses lit);
   check_bool "armed" true (Cache.attrib_armed lit);
   check_bool "unarmed" false (Cache.attrib_armed dark);
@@ -116,6 +115,33 @@ let report_independent_of_jobs () =
   check_string "csv" (Explain.csv a) (Explain.csv b);
   check_string "trace" (Explain.trace_string a) (Explain.trace_string b);
   check_string "table" (Explain.to_string a) (Explain.to_string b)
+
+(* The conflict table's bytes. The digests were taken at commit
+   7338d94, before the recorders lost their unread per-set and per-slot
+   tallies and the caches their access count: the planted program
+   through [explain], and mcf at scale 0.05 over 4 seeds x 2 variants
+   ([szc explain]'s ~5% argument steps). mcf's table has a [branch]
+   row, so the predictor recorder is pinned too. *)
+let conflict_table_bytes_pinned () =
+  let pinned name report ~csv ~trace =
+    let digest s = Digest.to_hex (Digest.string s) in
+    check_string (name ^ " csv") csv (digest (Explain.csv report));
+    check_string (name ^ " trace") trace (digest (Explain.trace_string report))
+  in
+  pinned "conflict"
+    (explain (Workload.program ()))
+    ~csv:"9ff6ac71e87647ee9845268967c91579" ~trace:"fc5d06f51a40bead5bb2383e6680e2ff";
+  let mcf =
+    Stz_workloads.Generate.program
+      (Stz_workloads.Profile.scale 0.05 (Option.get (Stz_workloads.Spec.find "mcf")))
+  in
+  let variants =
+    List.init 2 (fun v ->
+        List.map (fun a -> a + (v * max 1 (a / 20))) Stz_workloads.Generate.default_args)
+  in
+  pinned "mcf"
+    (unwrap (Explain.run ~base_seed:1L ~seeds:4 ~variants mcf))
+    ~csv:"c309a5135d559207d68b1ab09571a702" ~trace:"09b6c6707c8bb5124cd5e7a9b8d8ae13"
 
 (* ------------------------------------------------------------------ *)
 (* Sweep ledger                                                        *)
@@ -233,6 +259,8 @@ let () =
             control_workload_is_layout_indifferent;
           Alcotest.test_case "report independent of --jobs" `Quick
             report_independent_of_jobs;
+          Alcotest.test_case "conflict table bytes pinned" `Quick
+            conflict_table_bytes_pinned;
         ] );
       ( "sweeplog",
         [

@@ -180,6 +180,46 @@ let block_granularity_runs () =
   check_int "same result" reference.S.Runtime.return_value r.S.Runtime.return_value;
   check_bool "relocations happened" true (r.S.Runtime.relocations > 0)
 
+(* ------------------------------------------------------------------ *)
+(* szc on bad input: a usage error or an abort, never a crash           *)
+(* ------------------------------------------------------------------ *)
+
+(* Each command line exits with its code: 1 for a usage error, 3 when
+   every run was censored or the selftest skipped a step. None may end
+   in cmdliner's "internal error, uncaught exception". *)
+let szc_bad_input_exits_cleanly () =
+  Helpers.with_temp_dir (fun dir ->
+      let szc = Filename.concat (Sys.getcwd ()) "../bin/szc.exe" in
+      let err = Filename.concat dir "stderr" in
+      let exits expected args =
+        let code =
+          Sys.command
+            (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote szc) args
+               (Filename.quote err))
+        in
+        check_int ("exit code of szc " ^ args) expected code;
+        check_bool ("no internal error from szc " ^ args) false
+          (Helpers.contains (Helpers.read_file err) "internal error")
+      in
+      let ledger = Filename.quote (Filename.concat dir "ledger") in
+      exits 0 ("campaign bzip2 --runs 3 --scale 0.05 --quiet --ledger " ^ ledger);
+      List.iter
+        (fun cmd -> exits 1 (cmd ^ " --alloc bogus"))
+        [
+          "run bzip2"; "compare bzip2"; "campaign bzip2"; "power bzip2";
+          "top bzip2"; "profile bzip2"; "exec /dev/null";
+        ];
+      List.iter
+        (fun cmd -> exits 1 (cmd ^ " bzip2 --runs 0"))
+        [ "run"; "top"; "power"; "compare" ];
+      exits 0 "run bzip2 --runs 1 --scale 0.05";
+      exits 0 "run bzip2 --baseline --runs 3 --scale 0.05";
+      exits 1 "power bzip2 --runs 1";
+      exits 3 "run bzip2 --shuffle-n 0 --runs 3 --scale 0.05";
+      exits 3 "campaign bzip2 --shuffle-n 0 --runs 3 --scale 0.05 --quiet";
+      exits 1 ("history " ^ ledger ^ " --show=-1");
+      exits 3 "selftest --budget-seconds 0")
+
 let () =
   Alcotest.run "integration"
     [
@@ -201,4 +241,6 @@ let () =
         ] );
       ("heap randomness (E1)", [ Alcotest.test_case "NIST" `Quick shuffled_heap_randomness ]);
       ("block granularity (§8)", [ Alcotest.test_case "runs" `Quick block_granularity_runs ]);
+      ( "szc command line",
+        [ Alcotest.test_case "bad input exits cleanly" `Quick szc_bad_input_exits_cleanly ] );
     ]

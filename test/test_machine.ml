@@ -8,7 +8,7 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 
 let small_cache () =
-  M.Cache.create { M.Cache.name = "t"; sets = 4; ways = 2; line_bits = 6 }
+  M.Cache.create { M.Cache.sets = 4; ways = 2; line_bits = 6 }
 
 let cache_hit_after_fill () =
   let c = small_cache () in
@@ -50,13 +50,12 @@ let cache_counters () =
   ignore (M.Cache.access c 0);
   ignore (M.Cache.access c 0);
   ignore (M.Cache.access c 64);
-  check_int "accesses" 3 (M.Cache.accesses c);
   check_int "misses" 2 (M.Cache.misses c)
 
 let cache_probe_no_state_change () =
   let c = small_cache () in
   check_bool "probe empty" false (M.Cache.probe c 0);
-  check_int "no access recorded" 0 (M.Cache.accesses c);
+  check_int "no miss recorded" 0 (M.Cache.misses c);
   check_bool "still miss" false (M.Cache.access c 0)
 
 let cache_flush_and_reset () =
@@ -64,13 +63,13 @@ let cache_flush_and_reset () =
   ignore (M.Cache.access c 0);
   M.Cache.flush c;
   check_bool "flushed" false (M.Cache.probe c 0);
-  check_int "stats kept" 1 (M.Cache.accesses c);
+  check_int "stats kept" 1 (M.Cache.misses c);
   M.Cache.reset c;
-  check_int "stats cleared" 0 (M.Cache.accesses c);
+  check_int "stats cleared" 0 (M.Cache.misses c);
   (* A reset cache is a fresh one: old LRU stamps must not outrank the
      restarted clock, or new lines look older than invalid ways and
      are evicted first. *)
-  let geometry = { M.Cache.name = "t"; sets = 1; ways = 2; line_bits = 6 } in
+  let geometry = { M.Cache.sets = 1; ways = 2; line_bits = 6 } in
   let misses_on c =
     List.iter (fun line -> ignore (M.Cache.access c (line * 64))) [ 0; 1; 0; 2; 0 ];
     M.Cache.misses c
@@ -104,15 +103,15 @@ let cache_flush_and_reset () =
     (stream h)
 
 let cache_index_bits () =
-  let c = M.Cache.create { M.Cache.name = "t"; sets = 64; ways = 2; line_bits = 6 } in
+  let c = M.Cache.create { M.Cache.sets = 64; ways = 2; line_bits = 6 } in
   Alcotest.(check (pair int int)) "bits 6..11" (6, 11) (M.Cache.index_bits c)
 
 let cache_bad_config () =
   let cache sets ways line_bits () =
-    ignore (M.Cache.create { M.Cache.name = "t"; sets; ways; line_bits })
+    ignore (M.Cache.create { M.Cache.sets; ways; line_bits })
   in
   let tlb entries ways page_bits () =
-    ignore (M.Tlb.create { M.Tlb.name = "t"; entries; ways; page_bits })
+    ignore (M.Tlb.create { M.Tlb.entries; ways; page_bits })
   in
   List.iter
     (fun (msg, f) -> Alcotest.check_raises msg (Invalid_argument msg) f)
@@ -147,11 +146,8 @@ module Ref_cache = struct
     tags : int array;
     stamps : int array;
     line_owner : int array;
-    set_accesses : int array;
-    set_misses : int array;
     evictions : int array;
     mutable clock : int;
-    mutable accesses : int;
     mutable misses : int;
     mutable owner : int;
   }
@@ -165,32 +161,25 @@ module Ref_cache = struct
       tags = Array.make (sets * ways) (-1);
       stamps = Array.make (sets * ways) 0;
       line_owner = Array.make (sets * ways) (-1);
-      set_accesses = Array.make sets 0;
-      set_misses = Array.make sets 0;
       evictions = Array.make (funcs * funcs) 0;
       clock = 0;
-      accesses = 0;
       misses = 0;
       owner = -1;
     }
 
   let access r addr =
-    r.accesses <- r.accesses + 1;
     r.clock <- r.clock + 1;
     let tag = addr lsr r.line_bits in
-    let set = tag land (r.sets - 1) in
-    let base = set * r.ways in
+    let base = (tag land (r.sets - 1)) * r.ways in
     let hit = ref (-1) and victim = ref base in
     for w = base to base + r.ways - 1 do
       if !hit < 0 && r.tags.(w) = tag then hit := w;
       if r.stamps.(w) < r.stamps.(!victim) then victim := w
     done;
-    r.set_accesses.(set) <- r.set_accesses.(set) + 1;
     if !hit >= 0 then r.stamps.(!hit) <- r.clock
     else begin
       let v = !victim and o = r.line_owner.(!victim) in
       r.misses <- r.misses + 1;
-      r.set_misses.(set) <- r.set_misses.(set) + 1;
       if r.tags.(v) <> -1 && o >= 0 && r.owner >= 0 && o <> r.owner then
         r.evictions.((o * r.funcs) + r.owner) <- r.evictions.((o * r.funcs) + r.owner) + 1;
       r.line_owner.(v) <- r.owner;
@@ -222,20 +211,17 @@ let cache_fast_path_matches_reference () =
     let armed = case land 1 = 1 in
     let geometry = Printf.sprintf "case %d: %d sets, %d ways, line_bits %d, %s" case
         sets ways line_bits (if armed then "armed" else "dark") in
-    let c = M.Cache.create { M.Cache.name = "fast"; sets; ways; line_bits } in
+    let c = M.Cache.create { M.Cache.sets; ways; line_bits } in
     if armed then M.Cache.arm_attrib c ~funcs;
     let r = ref (Ref_cache.create ~sets ~ways ~line_bits ~funcs) in
     (* Checked silently: a logged assertion per access would write
        megabytes of test output. *)
     let agree what =
       let differs name = Alcotest.failf "%s%s: %s differs from the reference" geometry what name in
-      if M.Cache.accesses c <> !r.accesses then differs "accesses";
       if M.Cache.misses c <> !r.misses then differs "misses";
       match M.Cache.attrib_view c with
       | None -> if armed then differs "attrib_view"
       | Some v ->
-          if v.M.Cache.set_accesses <> !r.set_accesses then differs "set_accesses";
-          if v.M.Cache.set_misses <> !r.set_misses then differs "set_misses";
           if v.M.Cache.evictions <> !r.evictions then differs "evictions"
     in
     let footprint = 3 * sets * ways lsl line_bits in
@@ -274,7 +260,7 @@ let cache_matches_reference_model =
     QCheck.(pair small_int (list (int_bound 0xFFFF)))
     (fun (seed, addrs) ->
       let sets = 4 and ways = 2 and line_bits = 4 in
-      let c = M.Cache.create { M.Cache.name = "ref"; sets; ways; line_bits } in
+      let c = M.Cache.create { M.Cache.sets; ways; line_bits } in
       (* reference: per set, most-recent-first list of tags *)
       let model = Array.make sets [] in
       let ok = ref true in
@@ -303,14 +289,14 @@ let cache_matches_reference_model =
 (* ------------------------------------------------------------------ *)
 
 let tlb_page_granularity () =
-  let t = M.Tlb.create { M.Tlb.name = "t"; entries = 8; ways = 2; page_bits = 12 } in
+  let t = M.Tlb.create { M.Tlb.entries = 8; ways = 2; page_bits = 12 } in
   check_bool "first access misses" false (M.Tlb.access t 0x5000);
   check_bool "same page hits" true (M.Tlb.access t 0x5FFF);
   check_bool "next page misses" false (M.Tlb.access t 0x6000);
   check_int "misses" 2 (M.Tlb.misses t)
 
 let tlb_capacity () =
-  let t = M.Tlb.create { M.Tlb.name = "t"; entries = 4; ways = 4; page_bits = 12 } in
+  let t = M.Tlb.create { M.Tlb.entries = 4; ways = 4; page_bits = 12 } in
   (* Touch 5 pages in the same set (fully associative here): one must go. *)
   for p = 0 to 4 do
     ignore (M.Tlb.access t (p * 4096))
@@ -491,7 +477,7 @@ let hierarchy_charge_and_reset () =
    with 32-byte lines, 0x...00 and 0x...20 are different lines and the
    second fetch must walk the I-side again. *)
 let hierarchy_fetch_line_follows_config () =
-  let l1i = { M.Cache.name = "L1I"; sets = 64; ways = 2; line_bits = 5 } in
+  let l1i = { M.Cache.sets = 64; ways = 2; line_bits = 5 } in
   let h = M.Hierarchy.create ~l1i () in
   ignore (M.Hierarchy.fetch h 0x400000);
   ignore (M.Hierarchy.fetch h 0x400020);
@@ -499,7 +485,7 @@ let hierarchy_fetch_line_follows_config () =
   check_int "two 32-byte lines, two L1I misses" 2 c.M.Hierarchy.l1i_misses;
   (* And the converse direction: with 256-byte lines the second fetch
      is the same line, so no new I-side access happens at all. *)
-  let l1i = { M.Cache.name = "L1I"; sets = 16; ways = 2; line_bits = 8 } in
+  let l1i = { M.Cache.sets = 16; ways = 2; line_bits = 8 } in
   let h = M.Hierarchy.create ~l1i () in
   ignore (M.Hierarchy.fetch h 0x400000);
   ignore (M.Hierarchy.fetch h 0x4000C0);

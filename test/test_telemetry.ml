@@ -114,12 +114,7 @@ let trace_lane_assignment () =
       check_int "run 1 on lane 2 at 0" 0 t2;
       check_int "run 3 stacked after run 0" 100 t3;
       check_int "run 3 shares lane 1" 1 l3
-  | _ -> Alcotest.fail "expected three spans");
-  Trace.harness_instant tr "worker-spawned";
-  check_int "harness events stay out of the deterministic stream" 3
-    (List.length (Trace.events tr));
-  check_int "harness lane" Trace.harness_lane
-    (Event.lane (List.hd (Trace.harness_events tr)))
+  | _ -> Alcotest.fail "expected three spans")
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export: golden structure check via the in-repo Json parser   *)
@@ -166,19 +161,6 @@ let validator_rejects_garbage () =
   check_bool "no traceEvents" true (bad "{}");
   check_bool "metadata only" true
     (bad "{\"traceEvents\":[{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0}]}")
-
-let jsonl_export () =
-  let tr = Trace.create () in
-  Trace.control_instant tr "a";
-  Trace.control_instant tr "b";
-  let lines = String.split_on_char '\n' (String.trim (Export.jsonl (Trace.events tr))) in
-  check_int "one object per line" 2 (List.length lines);
-  List.iter
-    (fun l ->
-      match T.Json.of_string l with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "bad jsonl line %S: %s" l e)
-    lines
 
 (* ------------------------------------------------------------------ *)
 (* Ops: log-linear histograms with golden values                       *)
@@ -512,7 +494,7 @@ let sample_trace_and_rollup () =
   let s1 = collect 1 and s4 = collect 4 in
   let bytes s =
     Export.chrome_string
-      (Trace.events (S.Rollup.trace_of_outcomes ~lanes:4 s.S.Sample.outcomes))
+      (Trace.events (S.Rollup.trace_of_outcomes s.S.Sample.outcomes))
   in
   check_bool "sample traces byte-identical (jobs 1 vs 4)" true
     (bytes s1 = bytes s4);
@@ -565,7 +547,6 @@ let () =
             chrome_export_is_valid;
           Alcotest.test_case "validator rejects garbage" `Quick
             validator_rejects_garbage;
-          Alcotest.test_case "jsonl" `Quick jsonl_export;
         ] );
       ( "campaign",
         [

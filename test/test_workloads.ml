@@ -176,8 +176,8 @@ let values_independent_of_machine =
       let small = Stz_machine.Hierarchy.create () in
       let big =
         Stz_machine.Hierarchy.create
-          ~l1i:{ Stz_machine.Cache.name = "L1I"; sets = 128; ways = 8; line_bits = 6 }
-          ~l1d:{ Stz_machine.Cache.name = "L1D"; sets = 128; ways = 8; line_bits = 6 }
+          ~l1i:{ Stz_machine.Cache.sets = 128; ways = 8; line_bits = 6 }
+          ~l1d:{ Stz_machine.Cache.sets = 128; ways = 8; line_bits = 6 }
           ~predictor_entries:8192 ()
       in
       run_on small = run_on big)
