@@ -225,7 +225,7 @@ let write_file path contents =
   Stz_store.Artifact.write_with_sum path contents;
   Printf.printf "# wrote %s\n" path
 
-let top_table ?(top = max_int) ~total_cycles entries =
+let top_table ~top ~total_cycles entries =
   let module H = Stz_machine.Hierarchy in
   Printf.printf "%-16s %9s %12s %7s %8s %8s %7s %7s %6s %6s %8s\n" "function"
     "calls" "excl.cycles" "share" "l1i" "l1d" "l2" "l3" "itlb" "dtlb" "br.miss";
@@ -280,13 +280,12 @@ let list_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let run bench runs seed scale opt csv config jobs trace metrics profiled =
+  let run bench runs seed scale opt csv config jobs trace metrics =
     let* prof = lookup_bench bench scale in
     let p = Stz_workloads.Generate.program prof in
     let sample =
       Stabilizer.Driver.build_and_run ~jobs ~config ~opt
-        ~events:(trace <> None) ~profiled
-        ~base_seed:(Int64.of_int seed) ~runs
+        ~events:(trace <> None) ~base_seed:(Int64.of_int seed) ~runs
         ~args:Stz_workloads.Generate.default_args p
     in
     (match csv with
@@ -339,13 +338,6 @@ let run_cmd =
           (if sw.Stz_stats.Shapiro.p_value >= 0.05 then "plausibly normal"
            else "not normal")
       end;
-      if profiled then begin
-        Printf.printf "# hottest functions over %d runs (exclusive counters)\n"
-          runs;
-        top_table ~top:12
-          ~total_cycles:(Array.fold_left ( + ) 0 sample.Stabilizer.Sample.cycles)
-          (merged_profile sample)
-      end;
       Ok 0
     end
   in
@@ -357,10 +349,7 @@ let run_cmd =
             value
             & opt (some string) None
             & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the samples as CSV.")
-        $ config_term $ jobs_term $ trace_term $ metrics_term
-        $ flag [ "profile" ]
-            "Also profile every run and print the merged hottest-function \
-             table (see `szc top')."))
+        $ config_term $ jobs_term $ trace_term $ metrics_term))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a benchmark under a randomization configuration.")
@@ -428,11 +417,13 @@ let compare_cmd =
           (Stz_vm.Opt.level_to_string opt_b)
           (Stz_vm.Opt.level_to_string opt_a)
           c.Stabilizer.Experiment.speedup
-    | Stabilizer.Experiment.Insufficient _ -> ());
+    | Stabilizer.Experiment.Insufficient _ | Stabilizer.Experiment.Constant _
+      -> ());
     Printf.printf "%s\n" (Stabilizer.Experiment.describe_gated verdict);
     match verdict with
     | Stabilizer.Experiment.Verdict _ -> Ok 0
-    | Stabilizer.Experiment.Insufficient _ -> Ok 2
+    | Stabilizer.Experiment.Insufficient _ | Stabilizer.Experiment.Constant _
+      -> Ok 2
   in
   let term =
     Term.(
@@ -452,7 +443,8 @@ let compare_cmd =
        ~doc:
          "Statistically compare two optimization levels of a benchmark \
           (supervised campaigns; exit 2 when censoring leaves fewer than \
-          --min-n usable runs).")
+          --min-n usable runs, or when every run of an arm takes the same \
+          time, as under --baseline).")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -587,13 +579,23 @@ let exec_cmd =
     | exception Sys_error e -> Error (`Msg e)
     | exception Stz_vm.Text.Parse_error { line; message } ->
         Error (`Msg (Printf.sprintf "%s:%d: %s" path line message))
-    | p ->
-        let r = Stabilizer.Runtime.run ~config ~seed:(Int64.of_int seed) p ~args:[ arg ] in
-        Printf.printf "result = %d\n" r.Stabilizer.Runtime.return_value;
-        Printf.printf "cycles = %d (%.6f s) under %s\n" r.Stabilizer.Runtime.cycles
-          r.Stabilizer.Runtime.virtual_seconds
-          (Stabilizer.Config.describe config);
-        Ok 0
+    | p -> (
+        (* Reproducers that exhaust their fuel or call depth are normal
+           input here: a censored run is reported, not raised. *)
+        match
+          Stabilizer.Outcome.run ~config ~seed:(Int64.of_int seed) p
+            ~args:[ arg ]
+        with
+        | Stabilizer.Outcome.Completed r ->
+            Printf.printf "result = %d\n" r.Stabilizer.Runtime.return_value;
+            Printf.printf "cycles = %d (%.6f s) under %s\n"
+              r.Stabilizer.Runtime.cycles r.Stabilizer.Runtime.virtual_seconds
+              (Stabilizer.Config.describe config);
+            Ok 0
+        | censored ->
+            Printf.eprintf "szc exec: run censored: %s\n"
+              (Stabilizer.Outcome.to_string censored);
+            Ok 3)
   in
   let term =
     Term.(
@@ -608,60 +610,10 @@ let exec_cmd =
         $ seed_term $ config_term))
   in
   Cmd.v
-    (Cmd.info "exec" ~doc:"Run a textual-IR program under a configuration.")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* szc profile                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let profile_cmd =
-  let run bench seed scale opt top config =
-    let* prof = lookup_bench bench scale in
-    let p =
-      Stabilizer.Driver.compile ~opt (Stz_workloads.Generate.program prof)
-    in
-    let r =
-      Stabilizer.Runtime.run ~profile:true ~config ~seed:(Int64.of_int seed) p
-        ~args:Stz_workloads.Generate.default_args
-    in
-    Printf.printf "# %s under %s: %d cycles total\n" bench
-      (Stabilizer.Config.describe config)
-      r.Stabilizer.Runtime.cycles;
-    let c = r.Stabilizer.Runtime.counters in
-    Printf.printf
-      "# instrs=%d l1i_miss=%d l1d_miss=%d itlb=%d dtlb=%d br_mispred=%d/%d\n"
-      c.Stz_machine.Hierarchy.instructions c.Stz_machine.Hierarchy.l1i_misses
-      c.Stz_machine.Hierarchy.l1d_misses c.Stz_machine.Hierarchy.itlb_misses
-      c.Stz_machine.Hierarchy.dtlb_misses
-      c.Stz_machine.Hierarchy.branch_mispredictions c.Stz_machine.Hierarchy.branches;
-    Printf.printf "%-16s %10s %14s %8s\n" "function" "calls" "excl. cycles" "share";
-    (match r.Stabilizer.Runtime.profile with
-    | None -> ()
-    | Some entries ->
-        List.iteri
-          (fun i e ->
-            if i < top then
-              Printf.printf "%-16s %10d %14d %7.2f%%\n" e.Stabilizer.Profiler.name
-                e.Stabilizer.Profiler.calls e.Stabilizer.Profiler.exclusive_cycles
-                (100.0
-                *. float_of_int e.Stabilizer.Profiler.exclusive_cycles
-                /. float_of_int (max 1 r.Stabilizer.Runtime.cycles)))
-          entries);
-    Ok 0
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ bench_arg $ seed_term $ scale_term $ opt_term
-        $ Arg.(
-            value & opt int 12
-            & info [ "top" ] ~docv:"N" ~doc:"How many functions to show.")
-        $ config_term))
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Per-function cycle attribution for one run (paper §8's counters).")
+    (Cmd.info "exec"
+       ~doc:
+         "Run a textual-IR program under a configuration. Exit 0 when the \
+          run completes, 3 when it traps (its outcome is named on stderr).")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -706,9 +658,9 @@ let top_cmd =
        ~doc:
          "Rank functions by exclusive cycles across a whole sample of \
           layouts, with cache/TLB/branch miss attribution — the paper §8 \
-          layout-problem detector. Unlike `szc profile' (one run, one \
-          layout), `szc top' merges per-run profiles so a function that is \
-          only hot under unlucky layouts still surfaces.")
+          layout-problem detector. Per-run profiles are merged, so a \
+          function that is only hot under unlucky layouts still surfaces; \
+          --runs 1 profiles one layout.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -821,16 +773,9 @@ let fsck_cmd =
         | Ok true ->
             Printf.printf "%s: ok (checksum verified)\n" path;
             0
-        | Ok false -> (
-            (* No sidecar: the only other artifact we can vouch for is a
-               legacy JSON checkpoint. *)
-            match Stabilizer.Supervisor.load path with
-            | Ok _ ->
-                Printf.printf "%s: ok (legacy JSON checkpoint)\n" path;
-                0
-            | Error _ ->
-                Printf.printf "%s: unknown artifact (no .sum sidecar)\n" path;
-                1)
+        | Ok false ->
+            Printf.printf "%s: unknown artifact (no .sum sidecar)\n" path;
+            1
   in
   let run repair paths =
     match
@@ -1330,7 +1275,7 @@ let selftest_cmd =
       check
         (Printf.sprintf "--jobs %d campaign is bit-identical to serial" jobs)
         (S.Report.csv_of_campaign serial = S.Report.csv_of_campaign par
-        && S.Supervisor.to_json serial = S.Supervisor.to_json par));
+        && serial = par));
     List.iter (fun f -> Printf.eprintf "selftest FAILED: %s\n" f) (List.rev !failures);
     let verdict =
       if !failures <> [] then "FAILED" else if !skipped > 0 then "incomplete" else "ok"
@@ -1698,64 +1643,40 @@ let remote_top_cmd =
   in
   let run socket deadline retry_seed interval count once raw =
     let count = if once then 1 else count in
-    let interval_ms =
-      Stdlib.max 100 (Stdlib.min 60_000 (int_of_float (interval *. 1000.)))
+    let interval = Float.max 0.1 (Float.min 60.0 interval) in
+    let deadline = remote_deadline deadline in
+    let fail e =
+      Printf.eprintf "szc remote top: %s\n" e;
+      1
     in
-    if count = 1 then (
-      match
-        remote_rpc ~socket ~deadline ~seed:retry_seed Stz_daemon.Protocol.Stats
-      with
-      | Ok (Stz_daemon.Protocol.Stats_is s) ->
-          render ~raw s;
-          0
-      | Ok resp ->
-          print_response resp;
-          1
-      | Error e ->
-          Printf.eprintf "szc remote top: %s\n" e;
-          1)
-    else
-      let abs_deadline = remote_deadline deadline in
-      let seed = Int64.of_int retry_seed in
-      match Stz_daemon.Client.connect ~socket ~deadline:abs_deadline ~seed () with
-      | Error e ->
-          Printf.eprintf "szc remote top: %s\n" e;
-          1
-      | Ok t -> (
-          match
-            Stz_daemon.Client.send t (Stz_daemon.Protocol.Watch { interval_ms })
-          with
-          | Error e ->
-              Stz_daemon.Client.close t;
-              Printf.eprintf "szc remote top: %s\n" e;
+    match
+      Stz_daemon.Client.connect ~socket ~deadline
+        ~seed:(Int64.of_int retry_seed) ()
+    with
+    | Error e -> fail e
+    | Ok t ->
+        (* One connection, one [stats] request per refresh. The daemon
+           draining or the deadline ends the view: fine after at least
+           one snapshot, an error before any. *)
+        let rec poll seen =
+          match Stz_daemon.Client.rpc t ~deadline Stz_daemon.Protocol.Stats with
+          | Ok (Stz_daemon.Protocol.Stats_is s) ->
+              render ~raw s;
+              let seen = seen + 1 in
+              let now = Unix.gettimeofday () in
+              if (count > 0 && seen >= count) || now >= deadline then 0
+              else begin
+                Unix.sleepf (Float.min interval (deadline -. now));
+                poll seen
+              end
+          | Ok resp ->
+              print_response resp;
               1
-          | Ok () ->
-              let rec loop seen =
-                if count > 0 && seen >= count then (
-                  Stz_daemon.Client.close t;
-                  0)
-                else
-                  match
-                    Stz_daemon.Client.read_response t ~deadline:abs_deadline
-                  with
-                  | Ok (Stz_daemon.Protocol.Stats_is s) ->
-                      render ~raw s;
-                      loop (seen + 1)
-                  | Ok (Stz_daemon.Protocol.Error_frame msg) ->
-                      Stz_daemon.Client.close t;
-                      Printf.eprintf "szc remote top: protocol error: %s\n" msg;
-                      1
-                  | Ok _ -> loop seen
-                  | Error e ->
-                      (* Daemon drained or deadline hit: fine after at
-                         least one frame, an error before any. *)
-                      Stz_daemon.Client.close t;
-                      if seen > 0 then 0
-                      else (
-                        Printf.eprintf "szc remote top: %s\n" e;
-                        1)
-              in
-              loop 0)
+          | Error e -> if seen > 0 then 0 else fail e
+        in
+        Fun.protect
+          ~finally:(fun () -> Stz_daemon.Client.close t)
+          (fun () -> poll 0)
   in
   let term =
     Term.(
@@ -1763,7 +1684,9 @@ let remote_top_cmd =
       $ Arg.(
           value & opt float 2.0
           & info [ "interval" ] ~docv:"SECONDS"
-              ~doc:"Refresh period for the live view.")
+              ~doc:
+                "Refresh period for the live view, clamped to 0.1-60 s: \
+                 one stats request per refresh.")
       $ Arg.(
           value & opt int 0
           & info [ "count" ] ~docv:"N"
@@ -2154,7 +2077,7 @@ let () =
       (Cmd.group info
          [
            list_cmd; run_cmd; compare_cmd; campaign_cmd; selftest_cmd; nist_cmd;
-           disasm_cmd; profile_cmd; top_cmd; check_trace_cmd; fsck_cmd;
+           disasm_cmd; top_cmd; check_trace_cmd; fsck_cmd;
            exec_cmd; power_cmd; history_cmd; regress_cmd; fuzz_cmd;
            explain_cmd; layout_cmd; remote_cmd;
          ])

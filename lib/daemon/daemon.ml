@@ -44,8 +44,6 @@ type client = {
   mutable watching : string option;  (** runner key *)
   mutable alive : bool;
   outbuf : Buffer.t;  (** unsent frames; flushed on select writability *)
-  mutable watch_ms : int;  (** stats subscription period; 0 = none *)
-  mutable watch_due : float;  (** wall clock of the next stats frame *)
 }
 
 type runner_state = {
@@ -716,7 +714,6 @@ let request_verb = function
   | Protocol.Cancel _ -> "cancel"
   | Protocol.Drain -> "drain"
   | Protocol.Stats -> "stats"
-  | Protocol.Watch _ -> "watch"
 
 let handle_request st c req =
   Ops.incr st.ops ("wire.rx." ^ request_verb req);
@@ -732,30 +729,6 @@ let handle_request st c req =
       respond st c (Protocol.Draining { in_flight = List.length st.runners });
       start_drain st "drain request"
   | Protocol.Stats -> respond st c (Protocol.Stats_is (build_stats st))
-  | Protocol.Watch { interval_ms } ->
-      c.watch_ms <- interval_ms;
-      c.watch_due <- Unix.gettimeofday ();
-      Ops.incr st.ops "watch.subscribe"
-
-(* Deliver due stats frames to watch subscribers; one snapshot is
-   built per pass and shared by every due subscriber. *)
-let watch_pass st =
-  let due =
-    List.filter
-      (fun c ->
-        c.alive && c.watch_ms > 0 && Unix.gettimeofday () >= c.watch_due)
-      st.clients
-  in
-  if due <> [] then begin
-    let snap = Protocol.Stats_is (build_stats st) in
-    List.iter
-      (fun c ->
-        c.watch_due <-
-          Unix.gettimeofday () +. (float_of_int c.watch_ms /. 1000.);
-        respond st c snap;
-        Ops.incr st.ops "watch.frames")
-      due
-  end
 
 let handle_client_bytes st c =
   let buf = Bytes.create 65536 in
@@ -981,8 +954,6 @@ let run cfg =
                             watching = None;
                             alive = true;
                             outbuf = Buffer.create 256;
-                            watch_ms = 0;
-                            watch_due = 0.;
                           }
                         in
                         st.clients <- st.clients @ [ c ];
@@ -1004,7 +975,6 @@ let run cfg =
                         | Some r -> handle_runner_event st r
                         | None -> ()))
                 ready;
-              watch_pass st;
               (* Exporter throttle: a scrape file is refreshed at most
                  about once a second, plus once at drain below. *)
               (if cfg.ops_export <> None then

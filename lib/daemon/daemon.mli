@@ -27,7 +27,7 @@
     plane — a wall-clock-fed {!Stz_telemetry.Ops} registry (event-loop
     tick latency, wake reasons, per-verb frame counters, admission and
     runner lifecycle counters), an optional rotating
-    {!Stz_telemetry.Oplog}, periodic [stats]/[watch] wire snapshots and
+    {!Stz_telemetry.Oplog}, [stats] wire snapshots on request and
     an optional Prometheus textfile exporter. The plane is strictly
     write-only with respect to campaigns: no scheduling, admission or
     artifact decision ever reads it, so enabling all of it changes zero

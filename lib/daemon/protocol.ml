@@ -8,7 +8,6 @@ type request =
   | Cancel of { tenant : string; id : string }
   | Drain
   | Stats
-  | Watch of { interval_ms : int }
 
 type tenant_row = {
   tr_tenant : string;
@@ -76,8 +75,6 @@ let request_to_frame = function
       obj_frame "cancel" [ ("tenant", Json.String tenant); ("id", Json.String id) ]
   | Drain -> obj_frame "drain" []
   | Stats -> obj_frame "stats" []
-  | Watch { interval_ms } ->
-      obj_frame "watch" [ ("interval_ms", Json.Int interval_ms) ]
 
 let tenant_row_to_json r =
   Json.Obj
@@ -203,12 +200,6 @@ let request_of_frame ~verb ~payload =
       let* tenant, id = tenant_and_id j in
       Ok (Cancel { tenant; id })
   | "stats" -> Ok Stats
-  | "watch" ->
-      let* j = parse payload in
-      let* interval_ms = int_field "interval_ms" j in
-      if interval_ms < 100 || interval_ms > 60_000 then
-        Error "interval_ms must be within [100, 60000]"
-      else Ok (Watch { interval_ms })
   | v -> Error (Printf.sprintf "unknown request verb %S" v)
 
 let info_of_json j =

@@ -19,11 +19,9 @@ type request =
           only the salvageable runs. *)
   | Cancel of { tenant : string; id : string }
   | Drain
-  | Stats  (** one ops-plane snapshot ({!Stats_is}) *)
-  | Watch of { interval_ms : int }
-      (** subscribe to periodic {!Stats_is} frames, one every
-          [interval_ms] (clamped to [[100, 60000]]); the subscription
-          lasts until the client disconnects *)
+  | Stats
+      (** one ops-plane snapshot ({!Stats_is}); [szc remote top] sends
+          one per refresh *)
 
 (** One row of the per-tenant table behind [szc remote top]. *)
 type tenant_row = {

@@ -49,5 +49,11 @@ val code_only : t
 
 val code_stack : t
 
-(** Short name like "code.heap.stack" / "baseline", for reports. *)
+(** Short name like "code.heap.stack" / "baseline", for reports,
+    followed by each other setting that differs from {!stabilizer},
+    named after its [szc] flag: e.g.
+    ["code.heap.stack interval=5000 alloc=tlsf"]. It is the
+    configuration identity a checkpoint is resumed under and a ledger
+    fingerprint holds, so two configurations that differ in any
+    setting never share it. *)
 val describe : t -> string

@@ -10,16 +10,6 @@ let build_and_run ?jobs ?limits ?profile ?events ?profiled ~config ~opt
 
 let arm_b_salt = 0x0B5EEDL
 
-let compare_opt_levels ?alpha ?jobs ?limits ~config ~base_seed ~runs ~args la lb
-    p =
-  let a = build_and_run ?jobs ?limits ~config ~opt:la ~base_seed ~runs ~args p in
-  let b =
-    build_and_run ?jobs ?limits ~config ~opt:lb
-      ~base_seed:(Int64.add base_seed arm_b_salt)
-      ~runs ~args p
-  in
-  Experiment.compare_samples ?alpha a.Sample.times b.Sample.times
-
 let campaign ?policy ?profile ?limits ?jobs ?checkpoint ?resume ?on_record
     ?telemetry ?monitor ?dispatch ~config ~opt ~base_seed ~runs ~args p =
   Supervisor.run_campaign ?policy ?profile ?limits ?jobs ?checkpoint ?resume

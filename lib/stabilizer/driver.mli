@@ -8,10 +8,12 @@
 val compile : opt:Stz_vm.Opt.level -> Stz_vm.Ir.program -> Stz_vm.Ir.program
 
 (** [build_and_run ~config ~opt ~base_seed ~runs ~args p] compiles then
-    collects [runs] timing samples. Runs that trap are censored into
-    [Sample.failures] instead of aborting the loop; [profile] injects
-    faults via {!Stz_faults.Injector}; [jobs] fans the runs out over a
-    {!Parallel} fork pool with a deterministic in-run-order merge. *)
+    collects [runs] timing samples. A run that traps is censored (its
+    outcome stays in [Sample.outcomes]) instead of aborting the loop;
+    [profiled] turns on the per-function profiler ([szc top]);
+    [profile] injects faults via {!Stz_faults.Injector}; [jobs] fans
+    the runs out over a {!Parallel} fork pool with a deterministic
+    in-run-order merge. *)
 val build_and_run :
   ?jobs:int ->
   ?limits:Stz_vm.Interp.limits ->
@@ -47,9 +49,12 @@ val campaign :
   Stz_vm.Ir.program ->
   Supervisor.campaign
 
-(** Supervised two-arm comparison of optimization levels: both arms run
-    as campaigns, and the verdict is min-N-gated — a campaign censored
-    below [min_n] usable runs per side refuses to conclude.
+(** Compare two optimization levels of the same program under
+    STABILIZER (§6): both arms run as supervised campaigns, arm b on
+    a salted base seed, and the verdict is gated — a campaign censored
+    below [min_n] usable runs per side, or an arm whose runs all took
+    the same time, refuses to conclude. In a verdict, [speedup > 1]
+    means the second level is faster.
     [telemetry_a]/[telemetry_b] trace each arm into its own
     {!Stz_telemetry.Trace} (separate traces, exported as two process
     groups). *)
@@ -70,19 +75,3 @@ val compare_campaigns :
   Stz_vm.Opt.level ->
   Stz_vm.Ir.program ->
   Supervisor.campaign * Supervisor.campaign * Experiment.gated
-
-(** Compare two optimization levels of the same program under
-    STABILIZER, per §6: returns the comparison where [speedup > 1]
-    means the *second* level is faster. *)
-val compare_opt_levels :
-  ?alpha:float ->
-  ?jobs:int ->
-  ?limits:Stz_vm.Interp.limits ->
-  config:Config.t ->
-  base_seed:int64 ->
-  runs:int ->
-  args:int list ->
-  Stz_vm.Opt.level ->
-  Stz_vm.Opt.level ->
-  Stz_vm.Ir.program ->
-  Experiment.comparison

@@ -50,13 +50,17 @@ let compare_samples ?(alpha = 0.05) a b =
 type gated =
   | Verdict of comparison
   | Insufficient of { min_n : int; n_a : int; n_b : int }
+  | Constant of { arm : string; n : int; seconds : float }
 
 let compare_samples_gated ?alpha ~min_n a b =
   (* compare_samples itself needs >= 3 per side; the gate can only be
      stricter than that. *)
   let min_n = Stdlib.max 3 min_n in
   let n_a = Array.length a and n_b = Array.length b in
+  let constant x = Stats.Desc.min x = Stats.Desc.max x in
   if n_a < min_n || n_b < min_n then Insufficient { min_n; n_a; n_b }
+  else if constant a then Constant { arm = "a"; n = n_a; seconds = a.(0) }
+  else if constant b then Constant { arm = "b"; n = n_b; seconds = b.(0) }
   else Verdict (compare_samples ?alpha a b)
 
 let compare_programs ?alpha ?limits ~config ~base_seed ~runs ~args pa pb =
@@ -100,3 +104,8 @@ let describe_gated = function
         "no verdict: %d/%d uncensored runs, need %d per side (censored \
          campaign — collect more runs)"
         n_a n_b min_n
+  | Constant { arm; n; seconds } ->
+      Printf.sprintf
+        "no verdict: all %d runs of arm %s took %.6f s — one layout \
+         measured %d times (randomize the layout)"
+        n arm seconds n

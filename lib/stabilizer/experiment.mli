@@ -27,14 +27,19 @@ type comparison = {
     is used, else the rank-sum test. *)
 val compare_samples : ?alpha:float -> float array -> float array -> comparison
 
-(** Minimum-N-gated comparison: a campaign whose censored (trapped,
+(** Gated comparison. A campaign whose censored (trapped,
     budget-exceeded, invalid) runs leave fewer than [min_n] usable
     samples per side gets {!Insufficient}, never a verdict — a censored
     sample is a biased sample, so refusing is the sound answer.
-    [min_n] is clamped to at least 3 ({!compare_samples}'s own floor). *)
+    [min_n] is clamped to at least 3 ({!compare_samples}'s own floor).
+    An arm whose runs all took the same time gets {!Constant}: it is
+    one layout measured [n] times, and one layout supports no verdict
+    (nor a normality test). *)
 type gated =
   | Verdict of comparison
   | Insufficient of { min_n : int; n_a : int; n_b : int }
+  | Constant of { arm : string; n : int; seconds : float }
+      (** [arm] is ["a"] or ["b"] (["a"] when both are constant) *)
 
 val compare_samples_gated :
   ?alpha:float -> min_n:int -> float array -> float array -> gated

@@ -48,32 +48,32 @@ let of_campaign (c : Supervisor.campaign) =
 
 let of_sample (s : Sample.t) =
   let m = Metrics.create () in
-  Metrics.set m "sample.runs" (Array.length s.Sample.outcomes);
-  Metrics.set m "sample.completed" (Array.length s.Sample.results);
-  Metrics.set m "sample.censored" (List.length s.Sample.failures);
+  let runs = Array.length s.Sample.outcomes in
+  let completed = Array.length s.Sample.results in
+  Metrics.set m "sample.runs" runs;
+  Metrics.set m "sample.completed" completed;
+  Metrics.set m "sample.censored" (runs - completed);
   Array.iter
-    (fun (r : Runtime.result) ->
-      add_counters m "counters" r.Runtime.counters;
-      Metrics.add m "runtime.epochs" r.Runtime.epochs;
-      Metrics.add m "runtime.relocations" r.Runtime.relocations;
-      Metrics.add m "runtime.adaptive_triggers" r.Runtime.adaptive_triggers;
-      Metrics.add m "heap.allocations"
-        r.Runtime.heap_stats.Stz_alloc.Allocator.allocations;
-      Metrics.add m "heap.frees" r.Runtime.heap_stats.Stz_alloc.Allocator.frees)
-    s.Sample.results;
-  List.iter
-    (fun (f : Sample.failure) ->
-      (match f.Sample.kind with
-      | Sample.Faulted cls ->
-          Metrics.add m ("fault." ^ Fault.class_to_string cls) 1
-      | Sample.Budget_exceeded -> Metrics.add m "fault.budget_exceeded" 1
-      | Sample.Invalid_result -> Metrics.add m "fault.invalid_result" 1
-      | Sample.Worker_lost -> Metrics.add m "fault.worker_lost" 1
-      | Sample.Worker_hung -> Metrics.add m "fault.worker_hung" 1);
-      match f.Sample.at_censoring with
-      | Some pp -> add_partial m pp
-      | None -> ())
-    s.Sample.failures;
+    (fun (_, outcome) ->
+      let censor key =
+        Metrics.add m key 1;
+        Option.iter (add_partial m) (Outcome.partial outcome)
+      in
+      match outcome with
+      | Outcome.Completed r ->
+          add_counters m "counters" r.Runtime.counters;
+          Metrics.add m "runtime.epochs" r.Runtime.epochs;
+          Metrics.add m "runtime.relocations" r.Runtime.relocations;
+          Metrics.add m "runtime.adaptive_triggers" r.Runtime.adaptive_triggers;
+          Metrics.add m "heap.allocations"
+            r.Runtime.heap_stats.Stz_alloc.Allocator.allocations;
+          Metrics.add m "heap.frees" r.Runtime.heap_stats.Stz_alloc.Allocator.frees
+      | Outcome.Trapped (cls, _) -> censor ("fault." ^ Fault.class_to_string cls)
+      | Outcome.Budget_exceeded _ -> censor "fault.budget_exceeded"
+      | Outcome.Invalid_result _ -> censor "fault.invalid_result"
+      | Outcome.Worker_lost -> censor "fault.worker_lost"
+      | Outcome.Worker_hung -> censor "fault.worker_hung")
+    s.Sample.outcomes;
   m
 
 let trace_of_outcomes outcomes =

@@ -1,25 +1,9 @@
-module Fault = Stz_faults.Fault
 module Injector = Stz_faults.Injector
-
-type failure_kind =
-  | Faulted of Fault.fault_class
-  | Budget_exceeded
-  | Invalid_result
-  | Worker_lost
-  | Worker_hung
-
-type failure = {
-  run : int;
-  seed : int64;
-  kind : failure_kind;
-  at_censoring : Runtime.partial option;
-}
 
 type t = {
   times : float array;
   cycles : int array;
   results : Runtime.result array;
-  failures : failure list;
   outcomes : (int64 * Outcome.run_outcome) array;
 }
 
@@ -58,31 +42,15 @@ let collect_outcomes ?(jobs = 1) ?limits ?profile ?events ?profiled ~config
     outcomes
 
 let of_outcomes outcomes =
-  let completed = ref [] in
-  let failures = ref [] in
-  let censor i seed kind at_censoring =
-    failures := { run = i; seed; kind; at_censoring } :: !failures
+  let results =
+    Array.to_seq outcomes
+    |> Seq.filter_map (function _, Outcome.Completed r -> Some r | _ -> None)
+    |> Array.of_seq
   in
-  Array.iteri
-    (fun i (seed, outcome) ->
-      match outcome with
-      | Outcome.Completed r -> completed := r :: !completed
-      | Outcome.Trapped (fault, partial) -> censor i seed (Faulted fault) partial
-      | Outcome.Budget_exceeded r ->
-          (* No budget/reference gates at this layer (the supervisor
-             sets them), but the variant stays exhaustive. *)
-          censor i seed Budget_exceeded (Some (Runtime.partial_of_result r))
-      | Outcome.Invalid_result r ->
-          censor i seed Invalid_result (Some (Runtime.partial_of_result r))
-      | Outcome.Worker_lost -> censor i seed Worker_lost None
-      | Outcome.Worker_hung -> censor i seed Worker_hung None)
-    outcomes;
-  let results = Array.of_list (List.rev !completed) in
   {
     times = Array.map (fun r -> r.Runtime.virtual_seconds) results;
     cycles = Array.map (fun r -> r.Runtime.cycles) results;
     results;
-    failures = List.rev !failures;
     outcomes;
   }
 

@@ -7,51 +7,23 @@
     allocator OOM, …) no longer abort the loop and destroy the samples
     already gathered: each run is classified through
     {!Outcome.run_outcome}, completed runs land in [times]/[results],
-    and censored runs are reported in [failures].
+    and every run, censored or not, keeps its outcome in [outcomes].
 
     With [jobs > 1] the runs execute on a {!Parallel} fork pool. Every
     run is a pure function of its seed, so the merged sample is
     bit-identical to the serial one regardless of worker count or
     completion order; a worker that dies costs exactly the run it was
-    executing, censored as {!Worker_lost}. *)
-
-(** Why a run was censored. Unlike a {!Stz_faults.Fault.fault_class},
-    this also covers the gate and harness outcomes that are not faults
-    of the run itself (formerly mis-reported as [Unknown_trap]). *)
-type failure_kind =
-  | Faulted of Stz_faults.Fault.fault_class  (** the run trapped *)
-  | Budget_exceeded  (** over the supervisor's cycle budget *)
-  | Invalid_result  (** return value differs from the reference *)
-  | Worker_lost  (** the parallel worker died mid-run *)
-  | Worker_hung
-      (** the parallel worker wedged mid-run and was killed by the pool
-          watchdog *)
-
-type failure = {
-  run : int;  (** run index within the sample *)
-  seed : int64;  (** the exact seed that reproduces the failure *)
-  kind : failure_kind;
-  at_censoring : Runtime.partial option;
-      (** what the machine had measured when the run was censored.
-          [Some] whenever the run got far enough to measure anything:
-          always for {!Budget_exceeded} and {!Invalid_result} (the run
-          finished, only the gate rejected it), and for every
-          {!Faulted} run whose trap was raised inside the runtime.
-          [None] only for {!Worker_lost} and {!Worker_hung} (the
-          counters died with the worker process) and for traps raised
-          before or outside the runtime. Earlier versions dropped these counters silently;
-          rollups count them under the [censored.*] metric keys,
-          separate from the [counters.*] sums over completed runs. *)
-}
+    executing, censored as {!Outcome.Worker_lost}. *)
 
 type t = {
   times : float array;  (** virtual seconds per *completed* run *)
   cycles : int array;
   results : Runtime.result array;
-  failures : failure list;  (** censored runs, in run order *)
   outcomes : (int64 * Outcome.run_outcome) array;
-      (** the raw per-run classification the other fields are views of,
-          in run order — what trace/metrics rollups consume *)
+      (** each run's seed and classification, in run order: the other
+          fields are views of the completed ones, and trace/metrics
+          rollups read the censored ones (with the counters they carry,
+          see {!Outcome.partial}) from here *)
 }
 
 (** [events] forwards to {!Runtime.run}, populating each result's
@@ -92,8 +64,8 @@ val collect_outcomes :
   Stz_vm.Ir.program ->
   (int64 * Outcome.run_outcome) array
 
-(** Classify-and-censor an outcome stream into a sample (pure; what
-    {!collect} applies to {!collect_outcomes}). *)
+(** An outcome stream as a sample (pure; what {!collect} applies to
+    {!collect_outcomes}). *)
 val of_outcomes : (int64 * Outcome.run_outcome) array -> t
 
 (** Convenience: just the times of completed runs. *)

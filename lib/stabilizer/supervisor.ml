@@ -5,7 +5,6 @@ module Splitmix = Stz_prng.Splitmix
 module Hierarchy = Stz_machine.Hierarchy
 module Event = Stz_telemetry.Event
 module Trace = Stz_telemetry.Trace
-module Artifact = Stz_store.Artifact
 module Monitor = Stz_monitor.Monitor
 
 type policy = {
@@ -85,7 +84,7 @@ type summary = {
 exception Mismatch of string
 
 (* ------------------------------------------------------------------ *)
-(* JSON checkpoint format                                              *)
+(* Checkpoint record payloads (JSON)                                   *)
 (* ------------------------------------------------------------------ *)
 
 let seconds_of_cycles cycles = float_of_int cycles /. 3.2e9
@@ -169,46 +168,27 @@ let record_to_json r =
 
 let record_of_json j =
   let ( let* ) = Option.bind in
-  let* run = Option.bind (Json.member "run" j) Json.to_int in
+  let int name = Option.bind (Json.member name j) Json.to_int in
+  let* run = int "run" in
   let* seed = Option.bind (Json.member "seed" j) Json.to_int64 in
-  let* retries = Option.bind (Json.member "retries" j) Json.to_int in
+  let* retries = int "retries" in
   let* tag = Option.bind (Json.member "outcome" j) Json.to_str in
-  (* Censored-run counters appeared in checkpoint version 2; older
-     checkpoints load with them absent, never rejected. *)
+  (* Budget-exceeded and invalid-result records always carry "at"; a
+     trap's record lacks it when the trap was raised outside the
+     runtime and measured nothing. *)
   let at = Option.bind (Json.member "at" j) partial_of_json in
-  let require_at k =
-    match at with
-    | Some pp -> Some (k pp)
-    | None ->
-        Some
-          (k
-             {
-               Runtime.p_cycles = 0;
-               p_counters = Hierarchy.counters_zero;
-               p_epochs = 0;
-               p_relocations = 0;
-               p_adaptive_triggers = 0;
-             })
-  in
   let* outcome =
     match tag with
     | "completed" ->
-        let* cycles = Option.bind (Json.member "cycles" j) Json.to_int in
-        let* return_value = Option.bind (Json.member "value" j) Json.to_int in
-        let* instructions =
-          Option.bind (Json.member "instructions" j) Json.to_int
-        in
-        let int_field name default =
-          Option.value ~default
-            (Option.bind (Json.member name j) Json.to_int)
-        in
-        let counters =
-          match Option.bind (Json.member "counters" j) counters_of_json with
-          | Some c -> c
-          | None ->
-              Hierarchy.counters_of_fields
-                [ ("cycles", cycles); ("instructions", instructions) ]
-        in
+        let* cycles = int "cycles" in
+        let* return_value = int "value" in
+        let* instructions = int "instructions" in
+        let* counters = Option.bind (Json.member "counters" j) counters_of_json in
+        let* epochs = int "epochs" in
+        let* relocations = int "relocations" in
+        let* adaptive_triggers = int "adaptive_triggers" in
+        let* allocations = int "allocations" in
+        let* frees = int "frees" in
         Some
           (Done
              {
@@ -217,14 +197,14 @@ let record_of_json j =
                return_value;
                instructions;
                counters;
-               epochs = int_field "epochs" 1;
-               relocations = int_field "relocations" 0;
-               adaptive_triggers = int_field "adaptive_triggers" 0;
-               allocations = int_field "allocations" 0;
-               frees = int_field "frees" 0;
+               epochs;
+               relocations;
+               adaptive_triggers;
+               allocations;
+               frees;
              })
-    | "budget-exceeded" -> require_at (fun pp -> Budget_exceeded pp)
-    | "invalid-result" -> require_at (fun pp -> Invalid_result pp)
+    | "budget-exceeded" -> Option.map (fun pp -> Budget_exceeded pp) at
+    | "invalid-result" -> Option.map (fun pp -> Invalid_result pp) at
     | "worker-lost" -> Some Worker_lost
     | "worker-hung" -> Some Worker_hung
     | s -> Option.map (fun c -> Trapped (c, at)) (Fault.class_of_string s)
@@ -232,76 +212,6 @@ let record_of_json j =
   Some { run; seed; retries; outcome }
 
 let opt_int = function None -> Json.Null | Some i -> Json.Int i
-
-let to_json c =
-  Json.Obj
-    [
-      ("version", Json.Int 2);
-      ("base_seed", Json.of_int64 c.base_seed);
-      ("runs", Json.Int c.runs);
-      ("profile", Json.String c.profile_fp);
-      ("config", Json.String c.config_desc);
-      ("reference", opt_int c.reference);
-      ("budget_cycles", opt_int c.budget_cycles);
-      ("budget_fuel", opt_int c.budget_fuel);
-      ("quarantined", Json.List (List.map Json.of_int64 c.quarantined));
-      ("records", Json.List (List.map record_to_json c.records));
-    ]
-
-let of_json j =
-  let get name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "checkpoint: bad or missing %S" name)
-  in
-  let get_opt name =
-    match Json.member name j with
-    | Some (Json.Int i) -> Ok (Some i)
-    | Some Json.Null | None -> Ok None
-    | Some _ -> Error (Printf.sprintf "checkpoint: bad %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* base_seed = get "base_seed" Json.to_int64 in
-  let* runs = get "runs" Json.to_int in
-  let* profile_fp = get "profile" Json.to_str in
-  let* config_desc = get "config" Json.to_str in
-  let* reference = get_opt "reference" in
-  let* budget_cycles = get_opt "budget_cycles" in
-  let* budget_fuel = get_opt "budget_fuel" in
-  let* quarantined_js = get "quarantined" Json.to_list in
-  let* records_js = get "records" Json.to_list in
-  let* quarantined =
-    List.fold_left
-      (fun acc x ->
-        Result.bind acc (fun l ->
-            match Json.to_int64 x with
-            | Some s -> Ok (s :: l)
-            | None -> Error "checkpoint: bad quarantined seed"))
-      (Ok []) quarantined_js
-    |> Result.map List.rev
-  in
-  let* records =
-    List.fold_left
-      (fun acc x ->
-        Result.bind acc (fun l ->
-            match record_of_json x with
-            | Some r -> Ok (r :: l)
-            | None -> Error "checkpoint: bad record"))
-      (Ok []) records_js
-    |> Result.map List.rev
-  in
-  Ok
-    {
-      base_seed;
-      runs;
-      profile_fp;
-      config_desc;
-      records;
-      quarantined;
-      budget_cycles;
-      budget_fuel;
-      reference;
-    }
 
 (* Retry seeds are derived from the run's primary seed, not drawn from
    the campaign stream, so a retry never shifts the seeds of later runs
@@ -326,8 +236,7 @@ let attempt_seed primary k =
    one record per finished run in run order, and the evolving
    supervisor state (quarantine, budgets) last. The whole file is
    rewritten atomically after every checkpointed run, so a crash or
-   torn write costs at most a suffix — which {!recover} salvages.
-   Versions 1/2 were bare JSON; {!load}/{!recover} still accept them. *)
+   torn write costs at most a suffix — which {!recover} salvages. *)
 
 type checkpoint_item =
   | Run of record
@@ -489,30 +398,19 @@ let save path c =
     (List.map (fun r -> Run r) c.records
     @ [ State (c.quarantined, c.budget_cycles, c.budget_fuel) ])
 
-(* A file that is not a container is a legacy v1/v2 JSON checkpoint:
-   no checksums to salvage with, so it loads all-or-nothing. *)
-let legacy path container_error =
-  match Artifact.read_file path with
-  | Ok text when not (Artifact.is_container text) ->
-      Result.bind (Json.of_string text) of_json
-  | Ok _ -> Error container_error
-  | Error e -> Error e
-
 let load path =
-  match Checkpoint.load path with
-  | Ok v -> (
+  Result.bind (Checkpoint.load path) (fun v ->
       match assemble v with
       | c, None -> Ok c
       | _, Some _ -> Error "checkpoint: missing state record")
-  | Error e -> legacy path e
 
 let recover path =
-  match Checkpoint.recover path with
-  | Ok (base, items, note) ->
+  Result.map
+    (fun (base, items, note) ->
       let c, derived = assemble (base, items) in
       let notes = List.filter_map Fun.id [ note; derived ] in
-      Ok (c, if notes = [] then None else Some (String.concat "; " notes))
-  | Error e -> Result.map (fun c -> (c, None)) (legacy path e)
+      (c, if notes = [] then None else Some (String.concat "; " notes)))
+    (Checkpoint.recover path)
 
 let check =
   Stz_store.Log.check ~rewrite:save ~recover:(fun path ->

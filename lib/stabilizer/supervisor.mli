@@ -109,7 +109,7 @@ exception Mismatch of string
 (** [run_campaign ~config ~base_seed ~runs ~args p] executes the
     campaign. [profile] injects faults via {!Stz_faults.Injector}
     (default {!Stz_faults.Fault.none}). With [checkpoint], progress is
-    written to that JSON file as runs finish; with [resume] also set,
+    written to that file ({!save}) as runs finish; with [resume] also set,
     an existing file's finished runs are loaded and skipped, and
     calibrated budgets, the reference value and the quarantine list are
     restored so the continuation behaves exactly as the uninterrupted
@@ -197,12 +197,6 @@ val exit_code : min_n:int -> summary -> int
 val verdict :
   ?alpha:float -> min_n:int -> campaign -> campaign -> Experiment.gated
 
-(** JSON round-trip (the legacy v1/v2 checkpoint file format; current
-    checkpoints are {!Stz_store.Artifact} containers — see {!save}). *)
-val to_json : campaign -> Json.t
-
-val of_json : Json.t -> (campaign, string) result
-
 (** One record of a version-3 checkpoint after its [meta] record. *)
 type checkpoint_item =
   | Run of record
@@ -211,7 +205,7 @@ type checkpoint_item =
 
 (** The checkpoint's {!Stz_store.Log} (kind ["szc-checkpoint"]). Its
     meta is the campaign's identity and reference, records and state
-    left empty. {!load}, {!recover} and {!check} add the legacy JSON and
+    left empty. {!load}, {!recover} and {!check} add the
     supervisor-state rules on top. *)
 module Checkpoint :
   Stz_store.Log.S with type meta = campaign and type item = checkpoint_item
@@ -223,9 +217,9 @@ module Checkpoint :
 val save : string -> campaign -> unit
 
 (** Strict load: a container must parse completely (header, every
-    record checksum, meta and state present); a file that does not
-    start with the artifact magic is parsed as a legacy v1/v2 JSON
-    checkpoint. Any corruption is an [Error]. *)
+    record checksum, meta and state present, every field the writer
+    emits in every record). A file that is not a container, or any
+    corruption, is an [Error]. *)
 val load : string -> (campaign, string) result
 
 (** Lenient load: salvages the longest valid record prefix of a
@@ -234,7 +228,8 @@ val load : string -> (campaign, string) result
     resume from the salvaged prefix matches an uninterrupted campaign.
     Returns the campaign plus [Some note] describing what was salvaged,
     or [None] when the file was intact. [Error] only when not even the
-    meta record survives (or the file is missing/unreadable). *)
+    meta record survives (or the file is missing, unreadable or not a
+    container). *)
 val recover : string -> (campaign * string option, string) result
 
 (** {!Stz_store.Log.check} over {!recover} and {!save}: a checkpoint

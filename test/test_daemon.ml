@@ -651,7 +651,7 @@ let unappendable_ledger_exits_3 () =
       check_clean_drain stop)
 
 (* ------------------------------------------------------------------ *)
-(* Ops plane: stats/watch verbs, status info, strict plane separation  *)
+(* Ops plane: stats verb, status info, strict plane separation         *)
 (* ------------------------------------------------------------------ *)
 
 let counter_at_least stats key n =
@@ -660,7 +660,7 @@ let counter_at_least stats key n =
   | Some v -> Alcotest.failf "counter %s = %d, wanted >= %d" key v n
   | None -> Alcotest.failf "counter %s missing from stats" key
 
-let stats_watch_and_status_info () =
+let stats_and_status_info () =
   let oplog_rel root = Filename.concat root "ops.log" in
   let export_rel root = Filename.concat root "ops.prom" in
   (* start_daemon builds root from the test name; mirror it so the
@@ -730,26 +730,21 @@ let stats_watch_and_status_info () =
           check_bool "tick p50 <= p99" true
             (h.Stz_telemetry.Ops.h_p50 <= h.Stz_telemetry.Ops.h_p99)
       | None -> Alcotest.fail "loop.tick_us histogram missing");
-      (* Periodic subscription: two frames at 100 ms apart, and each
-         carries a fresh uptime. *)
+      (* Polling, as [szc remote top] does: two stats requests 100 ms
+         apart on one connection, each answered with a fresh uptime. *)
       let w = connect_ok d ~deadline ~seed:43L in
       Fun.protect
         ~finally:(fun () -> Client.close w)
         (fun () ->
-          (match Client.send w (Protocol.Watch { interval_ms = 100 }) with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "watch: %s" e);
-          let rec frames n last_uptime =
-            if n < 2 then
-              match Client.read_response w ~deadline with
-              | Ok (Protocol.Stats_is s) ->
-                  check_bool "watch uptime monotone" true
-                    (s.Protocol.s_uptime_ms >= last_uptime);
-                  frames (n + 1) s.Protocol.s_uptime_ms
-              | Ok _ -> frames n last_uptime
-              | Error e -> Alcotest.failf "watch read: %s" e
+          let uptime () =
+            match Client.rpc w ~deadline Protocol.Stats with
+            | Ok (Protocol.Stats_is s) -> s.Protocol.s_uptime_ms
+            | Ok _ -> Alcotest.fail "expected stats-is"
+            | Error e -> Alcotest.failf "stats poll: %s" e
           in
-          frames 0 0);
+          let first = uptime () in
+          Unix.sleepf 0.1;
+          check_bool "polled uptime monotone" true (uptime () >= first));
       (* status-is carries the info extras. *)
       let t2 = connect_ok d ~deadline ~seed:44L in
       Fun.protect
@@ -808,9 +803,10 @@ let stats_watch_and_status_info () =
         ])
 
 (* The headline invariant: the ops plane is write-only. A campaign set
-   run with every ops feature enabled — oplog, exporter, a live watch
-   subscriber — produces byte-for-byte the artifacts of an ops-dark
-   daemon, under both serial and concurrent scheduling. *)
+   run with every ops feature enabled — oplog, exporter, a live
+   [szc remote top] polling stats — produces byte-for-byte the
+   artifacts of an ops-dark daemon, under both serial and concurrent
+   scheduling. *)
 let ops_plane_changes_no_artifact_byte () =
   let runs = 6 in
   let tenants = [ ("t1", 301); ("t2", 302); ("t3", 303) ] in
@@ -826,17 +822,35 @@ let ops_plane_changes_no_artifact_byte () =
     in
     with_daemon ~extra ~slots name (fun d stop ->
         let deadline = deadline_in 120.0 in
-        (* A live subscriber makes the daemon exercise the whole stats
+        (* A live poller makes the daemon exercise the whole stats
            path (snapshot building, frame encoding, outbuf) while the
-           campaigns run. *)
-        let watcher =
+           campaigns run; they start once it has printed a snapshot. *)
+        let top_out = Filename.concat d.root "top.raw" in
+        let rec await_snapshot tries =
+          if not (contains (read_file top_out) "counter wire.rx.stats ") then
+            if tries = 0 then Alcotest.fail "the poller printed no snapshot"
+            else begin
+              Unix.sleepf 0.05;
+              await_snapshot (tries - 1)
+            end
+        in
+        let poller =
           if not ops then None
           else begin
-            let w = connect_ok d ~deadline ~seed:99L in
-            (match Client.send w (Protocol.Watch { interval_ms = 100 }) with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "watch: %s" e);
-            Some w
+            let fd =
+              Unix.openfile top_out [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
+            in
+            let pid =
+              Unix.create_process szc_exe
+                [|
+                  szc_exe; "remote"; "top"; "--socket"; d.socket; "--raw";
+                  "--interval"; "0.1"; "--deadline"; "120";
+                |]
+                Unix.stdin fd Unix.stderr
+            in
+            Unix.close fd;
+            await_snapshot 200;
+            Some pid
           end
         in
         List.iter
@@ -852,7 +866,11 @@ let ops_plane_changes_no_artifact_byte () =
                 Alcotest.failf "%s: exit %d (%s)" tenant code line
             | Error e -> Alcotest.failf "%s: %s" tenant e)
           tenants;
-        Option.iter Client.close watcher;
+        Option.iter
+          (fun pid ->
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid))
+          poller;
         let artifacts =
           List.map
             (fun (tenant, _) ->
@@ -920,8 +938,8 @@ let () =
         ] );
       ( "ops",
         [
-          Alcotest.test_case "stats, watch and status info" `Quick
-            stats_watch_and_status_info;
+          Alcotest.test_case "stats polls and status info" `Quick
+            stats_and_status_info;
           Alcotest.test_case "ops plane changes no artifact byte" `Quick
             ops_plane_changes_no_artifact_byte;
         ] );

@@ -184,9 +184,10 @@ let block_granularity_runs () =
 (* szc on bad input: a usage error or an abort, never a crash           *)
 (* ------------------------------------------------------------------ *)
 
-(* Each command line exits with its code: 1 for a usage error, 3 when
-   every run was censored or the selftest skipped a step. None may end
-   in cmdliner's "internal error, uncaught exception". *)
+(* Each command line exits with its code: 1 for a usage error, 2 when
+   no verdict is possible, 3 when every run was censored or the
+   selftest skipped a step. None may end in cmdliner's "internal error,
+   uncaught exception". *)
 let szc_bad_input_exits_cleanly () =
   Helpers.with_temp_dir (fun dir ->
       let szc = Filename.concat (Sys.getcwd ()) "../bin/szc.exe" in
@@ -207,7 +208,7 @@ let szc_bad_input_exits_cleanly () =
         (fun cmd -> exits 1 (cmd ^ " --alloc bogus"))
         [
           "run bzip2"; "compare bzip2"; "campaign bzip2"; "power bzip2";
-          "top bzip2"; "profile bzip2"; "exec /dev/null";
+          "top bzip2"; "exec /dev/null";
         ];
       List.iter
         (fun cmd -> exits 1 (cmd ^ " bzip2 --runs 0"))
@@ -217,6 +218,18 @@ let szc_bad_input_exits_cleanly () =
       exits 1 "power bzip2 --runs 1";
       exits 3 "run bzip2 --shuffle-n 0 --runs 3 --scale 0.05";
       exits 3 "campaign bzip2 --shuffle-n 0 --runs 3 --scale 0.05 --quiet";
+      (* A program that recurses until its call depth runs out. *)
+      let recursive = Filename.concat dir "recursive.ir" in
+      Helpers.write_file recursive
+        "program entry=f0\n\
+         func f0 main args=1 regs=2 frame=0\n\
+         block b0\n\
+        \  r1 = call f0(r0)\n\
+        \  ret r1\n";
+      exits 3 ("exec " ^ Filename.quote recursive);
+      exits 3 ("exec " ^ Filename.quote recursive ^ " --shuffle-n 0");
+      (* --baseline: every run of an arm is the same layout. *)
+      exits 2 "compare bzip2 --baseline --runs 5 --scale 0.05";
       exits 1 ("history " ^ ledger ^ " --show=-1");
       exits 3 "selftest --budget-seconds 0")
 

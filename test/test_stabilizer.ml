@@ -31,7 +31,16 @@ let config_describe () =
   Alcotest.(check string) "code only" "code" (S.Config.describe S.Config.code_only);
   Alcotest.(check string) "code+stack" "code.stack" (S.Config.describe S.Config.code_stack);
   Alcotest.(check string) "one-time" "code.heap.stack.onetime"
-    (S.Config.describe S.Config.one_time)
+    (S.Config.describe S.Config.one_time);
+  Alcotest.(check string) "non-default settings named"
+    "code.heap.stack.onetime interval=5000 alloc=tlsf env-bytes=64"
+    (S.Config.describe
+       {
+         S.Config.one_time with
+         interval_cycles = 5000;
+         base_allocator = Stz_alloc.Allocator.Tlsf;
+         env_bytes = 64;
+       })
 
 let config_independent_toggles () =
   (* §2.5: randomizations are independently selectable; all eight
@@ -278,12 +287,15 @@ let driver_build_and_run () =
   check_int "runs" 4 (Array.length s.S.Sample.times)
 
 let driver_o1_beats_o0 () =
-  let c =
-    S.Driver.compare_opt_levels ~config:S.Config.stabilizer ~base_seed:1L ~runs:8
-      ~args:[ 1 ] Stz_vm.Opt.O0 Stz_vm.Opt.O1 (Lazy.force tiny_program)
-  in
-  (* speedup = mean(O0) / mean(O1) > 1 when O1 is faster. *)
-  check_bool "O1 faster than O0" true (c.S.Experiment.speedup > 1.0)
+  match
+    S.Driver.compare_campaigns ~min_n:3 ~config:S.Config.stabilizer
+      ~base_seed:1L ~runs:8 ~args:[ 1 ] Stz_vm.Opt.O0 Stz_vm.Opt.O1
+      (Lazy.force tiny_program)
+  with
+  | _, _, S.Experiment.Verdict c ->
+      (* speedup = mean(O0) / mean(O1) > 1 when O1 is faster. *)
+      check_bool "O1 faster than O0" true (c.S.Experiment.speedup > 1.0)
+  | _, _, gated -> Alcotest.fail (S.Experiment.describe_gated gated)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive re-randomization (paper §8)                                *)

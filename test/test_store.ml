@@ -239,13 +239,15 @@ let checkpoint_is_container () =
       | Error e -> Alcotest.failf "load: %s" e
       | Ok c' -> check_bool "round-trips" true (c = c'))
 
-let legacy_json_still_loads () =
+(* Every checkpoint is a container; the bare JSON object of the
+   pre-container format is refused by both readers. *)
+let bare_json_refused () =
   with_temp (fun path ->
-      let c = campaign ~seed:5 F.light in
-      write_file path (S.Json.to_string (S.Supervisor.to_json c));
-      match S.Supervisor.load path with
-      | Error e -> Alcotest.failf "legacy load: %s" e
-      | Ok c' -> check_bool "legacy JSON round-trips" true (c = c'))
+      write_file path
+        {|{"version":2,"base_seed":"5","runs":8,"profile":"none","config":"code.heap.stack","reference":null,"budget_cycles":null,"budget_fuel":null,"quarantined":[],"records":[]}|};
+      check_bool "load refuses" true (Result.is_error (S.Supervisor.load path));
+      check_bool "recover refuses" true
+        (Result.is_error (S.Supervisor.recover path)))
 
 let record_prefix shorter longer =
   is_prefix shorter.S.Supervisor.records longer.S.Supervisor.records
@@ -688,7 +690,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "container round-trip" `Quick checkpoint_is_container;
-          Alcotest.test_case "legacy JSON loads" `Quick legacy_json_still_loads;
+          Alcotest.test_case "bare JSON refused" `Quick bare_json_refused;
           Alcotest.test_case "truncation fuzz (every offset)" `Quick
             checkpoint_truncation_fuzz;
           Alcotest.test_case "bit-flip fuzz (every offset)" `Quick

@@ -112,28 +112,66 @@ let sample_censors_instead_of_raising =
         S.Sample.collect ~profile:F.chaos ~config
           ~base_seed:(Int64.of_int seed) ~runs:5 ~args (Lazy.force program)
       in
-      Array.length s.S.Sample.times + List.length s.S.Sample.failures = 5)
+      Array.length s.S.Sample.outcomes = 5
+      && Array.length s.S.Sample.times
+         = Array.length s.S.Sample.results)
 
 let sample_starved_fuel_escapes_no_more () =
   (* The pre-supervisor bug: a starved run used to raise out of collect
-     and destroy the whole sample. Now it lands in [failures]. *)
+     and destroy the whole sample. Now it is censored in [outcomes]. *)
   let limits = Interp.limits ~max_instructions:50 () in
   let s =
     S.Sample.collect ~limits ~config ~base_seed:3L ~runs:4 ~args
       (Lazy.force program)
   in
-  check_int "all censored" 4 (List.length s.S.Sample.failures);
-  List.iter
-    (fun f ->
+  check_int "all censored" 0 (Array.length s.S.Sample.results);
+  Array.iter
+    (fun (_, o) ->
       check_bool "classified as fuel starvation" true
-        (f.S.Sample.kind = S.Sample.Faulted F.Fuel_starvation))
-    s.S.Sample.failures
+        (match o with
+        | S.Outcome.Trapped (F.Fuel_starvation, Some _) -> true
+        | _ -> false))
+    s.S.Sample.outcomes
 
 let sample_seed_derivation_is_stable () =
   let seeds = S.Sample.seeds ~base_seed:42L ~runs:5 in
   let g = Stz_prng.Splitmix.create 42L in
   let expected = Array.init 5 (fun _ -> Stz_prng.Splitmix.split g) in
   check_bool "matches sequential splits" true (seeds = expected)
+
+(* The metrics rollup of a sample, pinned byte for byte. The digest
+   was taken at commit a408114, while [Rollup.of_sample] still read a
+   separate list of censored runs: three completed runs and two
+   fuel-starved runs from chaos samples, plus one outcome of every
+   other censored kind — gate-censored runs built from a completed
+   result, a trap with no counters, a lost and a hung worker. *)
+let sample_rollup_bytes_pinned () =
+  let chaos ?limits runs =
+    S.Sample.collect ?limits ~profile:F.chaos ~config ~base_seed:4L ~runs ~args
+      (Lazy.force program)
+  in
+  let clean = chaos 3 in
+  let starved = chaos ~limits:(Interp.limits ~max_instructions:100_000 ()) 2 in
+  let r = clean.S.Sample.results.(0) in
+  let s =
+    S.Sample.of_outcomes
+      (Array.concat
+         [
+           clean.S.Sample.outcomes;
+           starved.S.Sample.outcomes;
+           [|
+             (11L, S.Outcome.check ~budget_cycles:(r.S.Runtime.cycles - 1) r);
+             (12L, S.Outcome.check ~reference:(r.S.Runtime.return_value + 1) r);
+             (13L, S.Outcome.Trapped (F.Alloc_failure, None));
+             (14L, S.Outcome.Worker_lost);
+             (15L, S.Outcome.Worker_hung);
+           |];
+         ])
+  in
+  Alcotest.(check string)
+    "rollup digest" "427a54414d858d5a9efe4682afe9d52a"
+    (Digest.to_hex
+       (Digest.string (Stz_telemetry.Metrics.snapshot (S.Rollup.of_sample s))))
 
 (* ------------------------------------------------------------------ *)
 (* Outcome gates                                                       *)
@@ -213,18 +251,21 @@ let with_temp f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let checkpoint_roundtrip () =
-  let c = campaign ~seed:21 F.heavy in
-  match S.Supervisor.of_json (S.Supervisor.to_json c) with
-  | Error e -> Alcotest.failf "of_json: %s" e
-  | Ok c' ->
-      check_bool "records" true (c.S.Supervisor.records = c'.S.Supervisor.records);
-      check_bool "quarantine" true
-        (c.S.Supervisor.quarantined = c'.S.Supervisor.quarantined);
-      check_bool "budgets" true
-        (c.S.Supervisor.budget_cycles = c'.S.Supervisor.budget_cycles
-        && c.S.Supervisor.budget_fuel = c'.S.Supervisor.budget_fuel);
-      check_bool "reference" true
-        (c.S.Supervisor.reference = c'.S.Supervisor.reference)
+  with_temp (fun path ->
+      let c = campaign ~seed:21 F.heavy in
+      S.Supervisor.save path c;
+      match S.Supervisor.load path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok c' ->
+          check_bool "records" true
+            (c.S.Supervisor.records = c'.S.Supervisor.records);
+          check_bool "quarantine" true
+            (c.S.Supervisor.quarantined = c'.S.Supervisor.quarantined);
+          check_bool "budgets" true
+            (c.S.Supervisor.budget_cycles = c'.S.Supervisor.budget_cycles
+            && c.S.Supervisor.budget_fuel = c'.S.Supervisor.budget_fuel);
+          check_bool "reference" true
+            (c.S.Supervisor.reference = c'.S.Supervisor.reference))
 
 let checkpoint_file_roundtrip () =
   with_temp (fun path ->
@@ -234,6 +275,17 @@ let checkpoint_file_roundtrip () =
       | Ok c' ->
           check_bool "file round-trips records" true
             (c.S.Supervisor.records = c'.S.Supervisor.records))
+
+(* The bytes [Supervisor.save] writes, pinned: [load] now refuses a
+   record missing any field this writer emits, so the writer must not
+   drift. The digest was taken at commit a408114 on a heavy-fault
+   campaign with retried runs and a fuel-starved run. *)
+let checkpoint_bytes_pinned () =
+  with_temp (fun path ->
+      ignore (campaign ~runs:12 ~seed:12 ~checkpoint:path F.heavy);
+      Alcotest.(check string)
+        "checkpoint digest" "fb624fb642cfa3224add32a652c50f55"
+        (Digest.to_hex (Digest.file path)))
 
 exception Killed
 
@@ -280,7 +332,19 @@ let resume_refuses_foreign_checkpoint () =
       let mismatch = ref false in
       (try ignore (campaign ~seed:1 ~checkpoint:path ~resume:true F.heavy)
        with S.Supervisor.Mismatch _ -> mismatch := true);
-      check_bool "different fault profile refused" true !mismatch)
+      check_bool "different fault profile refused" true !mismatch;
+      (* A setting outside code/heap/stack/onetime still makes the
+         checkpoint foreign: another base allocator times differently. *)
+      let mismatch = ref false in
+      (try
+         ignore
+           (S.Supervisor.run_campaign ~policy ~profile:F.light ~checkpoint:path
+              ~resume:true
+              ~config:
+                { config with base_allocator = Stz_alloc.Allocator.Tlsf }
+              ~base_seed:1L ~runs:8 ~args (Lazy.force program))
+       with S.Supervisor.Mismatch _ -> mismatch := true);
+      check_bool "different allocator refused" true !mismatch)
 
 (* ------------------------------------------------------------------ *)
 (* Min-N gate                                                          *)
@@ -294,10 +358,23 @@ let min_n_refuses_censored_samples () =
       check_int "min_n" 20 min_n;
       check_int "n_a" 12 n_a;
       check_int "n_b" 12 n_b
-  | S.Experiment.Verdict _ -> Alcotest.fail "verdict from censored sample");
-  match S.Experiment.compare_samples_gated ~min_n:10 a b with
+  | S.Experiment.Verdict _ | S.Experiment.Constant _ ->
+      Alcotest.fail "verdict from censored sample");
+  (match S.Experiment.compare_samples_gated ~min_n:10 a b with
   | S.Experiment.Verdict _ -> ()
-  | S.Experiment.Insufficient _ -> Alcotest.fail "refused a sufficient sample"
+  | S.Experiment.Insufficient _ | S.Experiment.Constant _ ->
+      Alcotest.fail "refused a sufficient sample");
+  (* An arm whose runs all took the same time is one layout measured
+     repeatedly ([szc compare --baseline]): refused, and named. *)
+  let constant = Array.make 12 1.1 in
+  match S.Experiment.compare_samples_gated ~min_n:10 a constant with
+  | S.Experiment.Constant { arm; n; _ } as g ->
+      Alcotest.(check string) "constant arm" "b" arm;
+      check_int "its runs" 12 n;
+      check_bool "the refusal names it" true
+        (Helpers.contains (S.Experiment.describe_gated g) "arm b")
+  | S.Experiment.Verdict _ | S.Experiment.Insufficient _ ->
+      Alcotest.fail "verdict from a constant arm"
 
 let verdict_gates_censored_campaigns () =
   (* An all-OOM campaign yields zero usable runs; the verdict must be a
@@ -307,7 +384,8 @@ let verdict_gates_censored_campaigns () =
   check_int "no usable runs" 0 (Array.length (S.Supervisor.times bad));
   (match S.Supervisor.verdict ~min_n:3 bad good with
   | S.Experiment.Insufficient _ -> ()
-  | S.Experiment.Verdict _ -> Alcotest.fail "verdict from empty sample");
+  | S.Experiment.Verdict _ | S.Experiment.Constant _ ->
+      Alcotest.fail "verdict from empty sample");
   check_bool "refusal is described" true
     (String.length
        (S.Experiment.describe_gated (S.Supervisor.verdict ~min_n:3 bad good))
@@ -437,6 +515,8 @@ let () =
             sample_starved_fuel_escapes_no_more;
           Alcotest.test_case "seed derivation stable" `Quick
             sample_seed_derivation_is_stable;
+          Alcotest.test_case "rollup bytes pinned" `Quick
+            sample_rollup_bytes_pinned;
         ] );
       ( "outcome",
         [
@@ -457,6 +537,8 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick checkpoint_roundtrip;
           Alcotest.test_case "file round-trip" `Quick checkpoint_file_roundtrip;
+          Alcotest.test_case "writer bytes pinned" `Quick
+            checkpoint_bytes_pinned;
           Alcotest.test_case "kill + resume = uninterrupted" `Quick
             kill_and_resume_is_uninterrupted;
           Alcotest.test_case "resume of finished is identity" `Quick
