@@ -72,53 +72,56 @@ let config_term =
   let make no_code no_stack no_heap onetime baseline adaptive interval shuffle_n
       alloc block_grain fixed_tables link_random env_bytes =
     let base = if baseline then Stabilizer.Config.baseline else Stabilizer.Config.stabilizer in
-    {
-      Stabilizer.Config.code = base.Stabilizer.Config.code && not no_code;
-      stack = base.Stabilizer.Config.stack && not no_stack;
-      heap = base.Stabilizer.Config.heap && not no_heap;
-      rerandomize = base.Stabilizer.Config.rerandomize && not onetime;
-      interval_cycles = interval;
-      adaptive;
-      adaptive_threshold = base.Stabilizer.Config.adaptive_threshold;
-      shuffle_n;
-      base_allocator = alloc;
-      granularity =
-        (if block_grain then Stz_layout.Code_rand.Block_grain
-         else Stz_layout.Code_rand.Function_grain);
-      reloc_style =
-        (if fixed_tables then Stz_layout.Code_rand.Fixed_table
-         else Stz_layout.Code_rand.Adjacent_table);
-      link_order =
-        (if link_random then Stabilizer.Config.Random_link
-         else Stabilizer.Config.Declaration);
-      env_bytes;
-    }
+    (* A setting that would trap every run is a usage error (exit 1). *)
+    Stabilizer.Config.validate
+      {
+        Stabilizer.Config.code = base.Stabilizer.Config.code && not no_code;
+        stack = base.Stabilizer.Config.stack && not no_stack;
+        heap = base.Stabilizer.Config.heap && not no_heap;
+        rerandomize = base.Stabilizer.Config.rerandomize && not onetime;
+        interval_cycles = interval;
+        adaptive;
+        adaptive_threshold = base.Stabilizer.Config.adaptive_threshold;
+        shuffle_n;
+        base_allocator = alloc;
+        granularity =
+          (if block_grain then Stz_layout.Code_rand.Block_grain
+           else Stz_layout.Code_rand.Function_grain);
+        reloc_style =
+          (if fixed_tables then Stz_layout.Code_rand.Fixed_table
+           else Stz_layout.Code_rand.Adjacent_table);
+        link_order =
+          (if link_random then Stabilizer.Config.Random_link
+           else Stabilizer.Config.Declaration);
+        env_bytes;
+      }
   in
   Term.(
-    const make
-    $ flag [ "no-code" ] "Disable code randomization."
-    $ flag [ "no-stack" ] "Disable stack randomization."
-    $ flag [ "no-heap" ] "Disable heap randomization."
-    $ flag [ "onetime" ] "Randomize once at startup; no re-randomization."
-    $ flag [ "baseline" ] "Disable all randomizations."
-    $ flag [ "adaptive" ]
-        "Also re-randomize when the miss rate spikes (paper §8 future work)."
-    $ Arg.(
-        value
-        & opt int Stabilizer.Config.stabilizer.Stabilizer.Config.interval_cycles
-        & info [ "interval" ] ~docv:"CYCLES" ~doc:"Re-randomization interval.")
-    $ Arg.(value & opt int 256 & info [ "shuffle-n" ] ~docv:"N" ~doc:"Shuffling parameter N.")
-    $ Arg.(
-        value
-        & opt alloc_conv Stz_alloc.Allocator.Segregated
-        & info [ "alloc" ] ~docv:"KIND" ~doc:"Base allocator: segregated, tlsf or diehard.")
-    $ flag [ "block-grain" ] "Randomize at basic-block granularity (paper §8)."
-    $ flag [ "fixed-tables" ]
-        "Use fixed-absolute-address relocation tables (PowerPC/x86-32 ABI, §3.5)."
-    $ flag [ "link-random" ] "Randomize static link order (baseline layouts)."
-    $ Arg.(
-        value & opt int 0
-        & info [ "env-bytes" ] ~docv:"BYTES" ~doc:"Environment block size (shifts the stack)."))
+    term_result'
+      (const make
+        $ flag [ "no-code" ] "Disable code randomization."
+        $ flag [ "no-stack" ] "Disable stack randomization."
+        $ flag [ "no-heap" ] "Disable heap randomization."
+        $ flag [ "onetime" ] "Randomize once at startup; no re-randomization."
+        $ flag [ "baseline" ] "Disable all randomizations."
+        $ flag [ "adaptive" ]
+            "Also re-randomize when the miss rate spikes (paper §8 future work)."
+        $ Arg.(
+            value
+            & opt int Stabilizer.Config.stabilizer.Stabilizer.Config.interval_cycles
+            & info [ "interval" ] ~docv:"CYCLES" ~doc:"Re-randomization interval.")
+        $ Arg.(value & opt int 256 & info [ "shuffle-n" ] ~docv:"N" ~doc:"Shuffling parameter N.")
+        $ Arg.(
+            value
+            & opt alloc_conv Stz_alloc.Allocator.Segregated
+            & info [ "alloc" ] ~docv:"KIND" ~doc:"Base allocator: segregated, tlsf or diehard.")
+        $ flag [ "block-grain" ] "Randomize at basic-block granularity (paper §8)."
+        $ flag [ "fixed-tables" ]
+            "Use fixed-absolute-address relocation tables (PowerPC/x86-32 ABI, §3.5)."
+        $ flag [ "link-random" ] "Randomize static link order (baseline layouts)."
+        $ Arg.(
+            value & opt int 0
+            & info [ "env-bytes" ] ~docv:"BYTES" ~doc:"Environment block size (shifts the stack).")))
 
 let lookup_bench name scale =
   match Stz_workloads.Spec.find name with

@@ -92,10 +92,14 @@ let predict_and_update t ~pc ~taken =
         a.a_alias_mispredictions.(k) <- a.a_alias_mispredictions.(k) + 1
       end;
       if a.owner >= 0 then a.slot_owner.(i) <- a.owner);
+  (* Int compares, not [Stdlib.min]/[max]: this runs on every simulated
+     branch. The counter stays in 0..3, so [unsafe_chr] is exact. *)
   let counter' =
-    if taken then Stdlib.min 3 (counter + 1) else Stdlib.max 0 (counter - 1)
+    if taken then (if counter < 3 then counter + 1 else 3)
+    else if counter > 0 then counter - 1
+    else 0
   in
-  Bytes.set t.counters i (Char.chr counter');
+  Bytes.set t.counters i (Char.unsafe_chr counter');
   (match t.kind with
   | Gshare _ -> t.history <- (t.history lsl 1) lor (if taken then 1 else 0)
   | Bimodal -> ());

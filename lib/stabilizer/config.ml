@@ -40,6 +40,13 @@ let one_time = { stabilizer with rerandomize = false }
 let code_only = { stabilizer with stack = false; heap = false }
 let code_stack = { stabilizer with heap = false }
 
+let validate t =
+  if t.shuffle_n < 1 then
+    Error (Printf.sprintf "--shuffle-n must be at least 1, got %d" t.shuffle_n)
+  else if t.env_bytes < 0 then
+    Error (Printf.sprintf "--env-bytes must not be negative, got %d" t.env_bytes)
+  else Ok t
+
 let describe t =
   let parts =
     List.filter_map

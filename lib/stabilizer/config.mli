@@ -49,6 +49,12 @@ val code_only : t
 
 val code_stack : t
 
+(** [validate t] is [Ok t] when every run under [t] can start, or an
+    [Error] naming the first bad setting under its [szc] flag: a
+    shuffling parameter below 1 or a negative environment size, which
+    would otherwise trap every run. *)
+val validate : t -> (t, string) result
+
 (** Short name like "code.heap.stack" / "baseline", for reports,
     followed by each other setting that differs from {!stabilizer},
     named after its [szc] flag: e.g.

@@ -601,34 +601,36 @@ let evaluate ?(rand_runs = 2) ?(shrink_budget = 2000) ~fuzz_seed ~index () =
                   fire P_determinism "determinism"
                     "O0 re-run disagrees (result or counters)" result0);
             (* Oracle (a): pipeline equivalence at every level. *)
-            List.iter
-              (fun lvl ->
-                let name = Opt.level_to_string lvl in
-                match compile lvl p with
-                | Error msg ->
-                    fire (P_compile lvl) "compile" (name ^ ": " ^ msg) result0
-                | Ok ol -> (
-                    match run_p ~config:Config.baseline ~seed ol ~args with
-                    | Error trap ->
-                        fire (P_divergence lvl) "divergence"
-                          (Printf.sprintf "%s trapped (%s), O0 completed" name
-                             (trap_name trap))
-                          result0
-                    | Ok r ->
-                        if r.Runtime.return_value <> result0 then
+            let compiled =
+              List.map
+                (fun lvl ->
+                  let name = Opt.level_to_string lvl in
+                  match compile lvl p with
+                  | Error msg ->
+                      fire (P_compile lvl) "compile" (name ^ ": " ^ msg) result0
+                  | Ok ol ->
+                      (match run_p ~config:Config.baseline ~seed ol ~args with
+                      | Error trap ->
                           fire (P_divergence lvl) "divergence"
-                            (Printf.sprintf "%s returned %d, O0 returned %d"
-                               name r.Runtime.return_value result0)
-                            result0;
-                        sanity
-                          (P_counter (lvl, Config.baseline, seed))
-                          r.Runtime.counters result0))
-              levels;
-            (* Oracle (b): the return value must not move under layout/
-               heap randomization, at O0 and at O3. *)
-            let o3 =
-              match compile Opt.O3 p with Ok o -> o | Error _ -> assert false
+                            (Printf.sprintf "%s trapped (%s), O0 completed" name
+                               (trap_name trap))
+                            result0
+                      | Ok r ->
+                          if r.Runtime.return_value <> result0 then
+                            fire (P_divergence lvl) "divergence"
+                              (Printf.sprintf "%s returned %d, O0 returned %d"
+                                 name r.Runtime.return_value result0)
+                              result0;
+                          sanity
+                            (P_counter (lvl, Config.baseline, seed))
+                            r.Runtime.counters result0);
+                      (lvl, ol))
+                levels
             in
+            (* Oracle (b): the return value must not move under layout/
+               heap randomization, at O0 and at O3 (the O3 program oracle
+               (a) compiled and ran). *)
+            let o3 = List.assoc Opt.O3 compiled in
             let sm = Stz_prng.Splitmix.create seed in
             for k = 1 to rand_runs do
               let s = Stz_prng.Splitmix.split sm in

@@ -1,3 +1,10 @@
+(* The interpreter's block loop is one top-level recursive function,
+   [step], over a per-run record ([run_state]) and a per-invocation
+   record ([invocation]); nothing is allocated per block. It carries
+   the fuel left and the index of the next fetch-line crossing as
+   arguments, so a register ALU instruction costs one dispatch and no
+   memory traffic for bookkeeping. *)
+
 module Hierarchy = Stz_machine.Hierarchy
 
 type code_view = { block_addrs : int array; branch_flips : bool array }
@@ -24,9 +31,19 @@ let limits ?(max_instructions = default_limits.max_instructions)
 exception Fuel_exhausted
 exception Call_depth_exceeded
 
-type state = { mutable fuel : int; limits : limits }
+(* Shift amounts clamp into [0, 62]: [land 63] keeps the encodable
+   range (negative amounts wrap like hardware shifters), then 63 clamps
+   to 62 so [lsl]/[asr] stay in OCaml's defined range. The clamp must
+   not drop low bits — an earlier [land 62] silently turned every odd
+   shift (x lsl 1!) into the next-lower even one. *)
+let shift_amount (b : int) =
+  let s = b land 63 in
+  if s > 62 then 62 else s
 
-let eval_binop op a b =
+(* Operands are annotated [int] here and below so every compare is an
+   integer compare; an unannotated one compiles to a C call into the
+   polymorphic compare (scripts/check_hotpath.sh rejects those). *)
+let eval_binop op (a : int) (b : int) =
   match op with
   | Ir.Add -> a + b
   | Ir.Sub -> a - b
@@ -35,15 +52,10 @@ let eval_binop op a b =
   | Ir.And -> a land b
   | Ir.Or -> a lor b
   | Ir.Xor -> a lxor b
-  (* Shift amounts clamp into [0, 62]: [land 63] keeps the encodable
-     range (negative amounts wrap like hardware shifters), then 63
-     clamps to 62 so [lsl]/[asr] stay in OCaml's defined range. The
-     clamp must not drop low bits — an earlier [land 62] silently
-     turned every odd shift (x lsl 1!) into the next-lower even one. *)
-  | Ir.Shl -> a lsl (Stdlib.min (b land 63) 62)
-  | Ir.Shr -> a asr (Stdlib.min (b land 63) 62)
+  | Ir.Shl -> a lsl shift_amount b
+  | Ir.Shr -> a asr shift_amount b
 
-let eval_cmp op a b =
+let eval_cmp op (a : int) (b : int) =
   let r =
     match op with
     | Ir.Eq -> a = b
@@ -55,19 +67,39 @@ let eval_cmp op a b =
   in
   if r then 1 else 0
 
+let malloc_size (v : int) =
+  let s = v land 0xFFFFFF in
+  if s < 1 then 1 else s
+
 (* Pre-decoded instruction forms: operand shapes ([Reg] vs [Imm]) are
    resolved once per function per run instead of re-matched on every
-   executed instruction, mul/div surcharge cycles are baked in at
-   decode time, and all-immediate ALU ops are folded to their constant
-   result (the cycle charge stays — the simulated machine still
-   executes them). Decoding is purely shape-driven: it never looks at
-   addresses, so one decode per function is valid across mid-run
-   re-randomizations, which only move code and flip branches. *)
+   executed instruction. Add, Sub, Mul, And, Or and Xor with a register
+   or an immediate second operand — most of what programs execute — get
+   forms of their own, so each costs one dispatch; Mul carries its
+   surcharge cycles. Div, Shl, Shr, the immediate-register shape and
+   all-immediate ops keep [eval_binop] (all-immediate ones folded to
+   their constant result at decode; the cycle charge stays — the
+   simulated machine still executes them). Decoding is purely
+   shape-driven: it never looks at addresses, so one decode per
+   function is valid across mid-run re-randomizations, which only move
+   code and flip branches. *)
 type dinstr =
-  | DBinRR of Ir.binop * int * int * int * int  (* op, d, ra, rb, extra *)
-  | DBinRI of Ir.binop * int * int * int * int  (* op, d, ra, imm, extra *)
-  | DBinIR of Ir.binop * int * int * int * int  (* op, d, imm, rb, extra *)
-  | DBinK of int * int * int (* d, folded result, extra cycles *)
+  | DAddRR of int * int * int (* d, ra, rb *)
+  | DAddRI of int * int * int (* d, ra, imm *)
+  | DSubRR of int * int * int
+  | DSubRI of int * int * int
+  | DMulRR of int * int * int * int (* d, ra, rb, surcharge *)
+  | DMulRI of int * int * int * int (* d, ra, imm, surcharge *)
+  | DAndRR of int * int * int
+  | DAndRI of int * int * int
+  | DOrRR of int * int * int
+  | DOrRI of int * int * int
+  | DXorRR of int * int * int
+  | DXorRI of int * int * int
+  | DBinRR of Ir.binop * int * int * int * int (* op, d, ra, rb, surcharge *)
+  | DBinRI of Ir.binop * int * int * int * int (* op, d, ra, imm, surcharge *)
+  | DBinIR of Ir.binop * int * int * int * int (* op, d, imm, rb, surcharge *)
+  | DBinK of int * int * int (* d, folded result, surcharge *)
   | DCmpRR of Ir.cmp * int * int * int
   | DCmpRI of Ir.cmp * int * int * int
   | DCmpIR of Ir.cmp * int * int * int
@@ -89,20 +121,34 @@ type dinstr =
   | DBrcR of int * int * int
   | DBrcK of bool * int * int (* constant condition; predictor still runs *)
 
+let surcharge cost = function
+  | Ir.Mul -> cost.Stz_machine.Cost.mul
+  | Ir.Div -> cost.Stz_machine.Cost.div
+  | _ -> 0
+
 let decode_instr cost instr =
   match instr with
-  | Ir.Bin (op, d, a, b) ->
-      let extra =
-        match op with
-        | Ir.Mul -> cost.Stz_machine.Cost.mul
-        | Ir.Div -> cost.Stz_machine.Cost.div
-        | _ -> 0
-      in
-      (match (a, b) with
-      | Ir.Reg ra, Ir.Reg rb -> DBinRR (op, d, ra, rb, extra)
-      | Ir.Reg ra, Ir.Imm ib -> DBinRI (op, d, ra, ib, extra)
-      | Ir.Imm ia, Ir.Reg rb -> DBinIR (op, d, ia, rb, extra)
-      | Ir.Imm ia, Ir.Imm ib -> DBinK (d, eval_binop op ia ib, extra))
+  | Ir.Bin (op, d, Ir.Reg ra, Ir.Reg rb) -> (
+      match op with
+      | Ir.Add -> DAddRR (d, ra, rb)
+      | Ir.Sub -> DSubRR (d, ra, rb)
+      | Ir.Mul -> DMulRR (d, ra, rb, surcharge cost op)
+      | Ir.And -> DAndRR (d, ra, rb)
+      | Ir.Or -> DOrRR (d, ra, rb)
+      | Ir.Xor -> DXorRR (d, ra, rb)
+      | Ir.Div | Ir.Shl | Ir.Shr -> DBinRR (op, d, ra, rb, surcharge cost op))
+  | Ir.Bin (op, d, Ir.Reg ra, Ir.Imm ib) -> (
+      match op with
+      | Ir.Add -> DAddRI (d, ra, ib)
+      | Ir.Sub -> DSubRI (d, ra, ib)
+      | Ir.Mul -> DMulRI (d, ra, ib, surcharge cost op)
+      | Ir.And -> DAndRI (d, ra, ib)
+      | Ir.Or -> DOrRI (d, ra, ib)
+      | Ir.Xor -> DXorRI (d, ra, ib)
+      | Ir.Div | Ir.Shl | Ir.Shr -> DBinRI (op, d, ra, ib, surcharge cost op))
+  | Ir.Bin (op, d, Ir.Imm ia, Ir.Reg rb) -> DBinIR (op, d, ia, rb, surcharge cost op)
+  | Ir.Bin (op, d, Ir.Imm ia, Ir.Imm ib) ->
+      DBinK (d, eval_binop op ia ib, surcharge cost op)
   | Ir.Cmp (op, d, a, b) -> (
       match (a, b) with
       | Ir.Reg ra, Ir.Reg rb -> DCmpRR (op, d, ra, rb)
@@ -117,7 +163,7 @@ let decode_instr cost instr =
   | Ir.Frame (d, o) -> DFrame (d, o)
   | Ir.Global (d, g) -> DGlobal (d, g)
   | Ir.Malloc (d, Ir.Reg r) -> DMallocR (d, r)
-  | Ir.Malloc (d, Ir.Imm i) -> DMallocK (d, Stdlib.max 1 (i land 0xFFFFFF))
+  | Ir.Malloc (d, Ir.Imm i) -> DMallocK (d, malloc_size i)
   | Ir.Free r -> DFree r
   | Ir.Call { fn; args; dst } -> DCall (fn, Array.of_list args, dst)
   | Ir.Ret (Ir.Reg r) -> DRetR r
@@ -180,180 +226,298 @@ let mem_page m word =
     page
   end
 
-let run ?(limits = default_limits) env p ~args =
-  let state = { fuel = limits.max_instructions; limits } in
-  let machine = env.machine in
-  let cost = Hierarchy.cost machine in
-  let base_cycles = cost.Stz_machine.Cost.base_cycles in
-  let fetch_shift = Hierarchy.fetch_shift machine in
-  let fetch_line = Hierarchy.fetch_line_memo machine in
-  (* Retired instructions and their base/surcharge cycles accumulate
-     here and are committed in one [charge_batch] per basic block (or
-     earlier). The flush discipline is what keeps counters bit-exact:
-     pending work is flushed before every [env] callback (they may read
-     cycles — re-randomization, profiling — or raise — injected OOM)
-     and before [Fuel_exhausted], so every external observation of the
-     machine sees exactly the totals per-instruction charging would
-     have produced. Cache/TLB/branch penalties still post immediately;
-     order within a block commutes because counters are pure sums. *)
-  let pending_instrs = ref 0 in
-  let pending_cycles = ref 0 in
-  let flush_pending () =
-    if !pending_instrs <> 0 then begin
-      Hierarchy.charge_batch machine ~instructions:!pending_instrs
-        ~cycles:!pending_cycles;
-      pending_instrs := 0;
-      pending_cycles := 0
-    end
-  in
-  let memory = mem_create () in
-  let decoded = Array.make (Array.length p.Ir.funcs) [||] in
-  let decode fid =
-    let db = decoded.(fid) in
-    if Array.length db > 0 then db
-    else begin
-      let f = p.Ir.funcs.(fid) in
-      let db =
-        Array.map (fun b -> Array.map (decode_instr cost) b.Ir.instrs) f.Ir.blocks
-      in
-      decoded.(fid) <- db;
-      db
-    end
-  in
-  let rec exec_func depth fid args =
-    if depth > state.limits.max_call_depth then begin
-      flush_pending ();
-      raise Call_depth_exceeded
-    end;
-    let view = env.enter_function ~fid in
-    let f = p.Ir.funcs.(fid) in
-    let dblocks = decode fid in
-    let regs = Array.make (Stdlib.max 1 f.Ir.n_regs) 0 in
-    List.iteri (fun i a -> if i < f.Ir.n_args then regs.(i) <- a) args;
-    let frame = env.frame_push ~fid in
-    let rec run_block bid =
-      let base = view.block_addrs.(bid) in
-      let flip = view.branch_flips.(bid) in
-      let dinstrs = dblocks.(bid) in
-      let rec step ii =
-        if state.fuel <= 0 then begin
-          flush_pending ();
-          raise Fuel_exhausted
-        end;
-        state.fuel <- state.fuel - 1;
-        let pc = base + (ii * Ir.instr_bytes) in
-        if pc lsr fetch_shift <> !fetch_line then
-          Hierarchy.fetch_cross machine pc;
-        pending_instrs := !pending_instrs + 1;
-        pending_cycles := !pending_cycles + base_cycles;
-        match dinstrs.(ii) with
-        | DBinRR (op, d, ra, rb, extra) ->
-            pending_cycles := !pending_cycles + extra;
-            regs.(d) <- eval_binop op regs.(ra) regs.(rb);
-            step (ii + 1)
-        | DBinRI (op, d, ra, ib, extra) ->
-            pending_cycles := !pending_cycles + extra;
-            regs.(d) <- eval_binop op regs.(ra) ib;
-            step (ii + 1)
-        | DBinIR (op, d, ia, rb, extra) ->
-            pending_cycles := !pending_cycles + extra;
-            regs.(d) <- eval_binop op ia regs.(rb);
-            step (ii + 1)
-        | DBinK (d, v, extra) ->
-            pending_cycles := !pending_cycles + extra;
-            regs.(d) <- v;
-            step (ii + 1)
-        | DCmpRR (op, d, ra, rb) ->
-            regs.(d) <- eval_cmp op regs.(ra) regs.(rb);
-            step (ii + 1)
-        | DCmpRI (op, d, ra, ib) ->
-            regs.(d) <- eval_cmp op regs.(ra) ib;
-            step (ii + 1)
-        | DCmpIR (op, d, ia, rb) ->
-            regs.(d) <- eval_cmp op ia regs.(rb);
-            step (ii + 1)
-        | DCmpK (d, v) ->
-            regs.(d) <- v;
-            step (ii + 1)
-        | DMovR (d, r) ->
-            regs.(d) <- regs.(r);
-            step (ii + 1)
-        | DMovI (d, i) ->
-            regs.(d) <- i;
-            step (ii + 1)
-        | DLoad (d, b, o) ->
-            let addr = regs.(b) + o in
-            ignore (Hierarchy.data machine addr);
-            let word = addr lsr 3 in
-            regs.(d) <- (mem_page memory word).(word land page_mask);
-            step (ii + 1)
-        | DStoreR (b, o, r) ->
-            let addr = regs.(b) + o in
-            ignore (Hierarchy.data machine addr);
-            let word = addr lsr 3 in
-            (mem_page memory word).(word land page_mask) <- regs.(r);
-            step (ii + 1)
-        | DStoreI (b, o, i) ->
-            let addr = regs.(b) + o in
-            ignore (Hierarchy.data machine addr);
-            let word = addr lsr 3 in
-            (mem_page memory word).(word land page_mask) <- i;
-            step (ii + 1)
-        | DFrame (d, o) ->
-            regs.(d) <- frame + o;
-            step (ii + 1)
-        | DGlobal (d, g) ->
-            flush_pending ();
-            regs.(d) <- env.global_addr ~caller:fid ~gid:g;
-            step (ii + 1)
-        | DMallocR (d, r) ->
-            let size = Stdlib.max 1 (regs.(r) land 0xFFFFFF) in
-            flush_pending ();
-            regs.(d) <- env.malloc ~size;
-            step (ii + 1)
-        | DMallocK (d, size) ->
-            flush_pending ();
-            regs.(d) <- env.malloc ~size;
-            step (ii + 1)
-        | DFree r ->
-            flush_pending ();
-            env.free ~addr:regs.(r);
-            step (ii + 1)
-        | DCall (fn, dargs, dst) ->
-            let argvals =
-              Array.fold_right
-                (fun a acc ->
-                  (match a with Ir.Reg r -> regs.(r) | Ir.Imm i -> i) :: acc)
-                dargs []
-            in
-            flush_pending ();
-            env.call_prologue ~caller:fid ~callee:fn;
-            regs.(dst) <- exec_func (depth + 1) fn argvals;
-            step (ii + 1)
-        | DRetR r -> regs.(r)
-        | DRetI i -> i
-        | DBr b -> run_block b
-        | DBrcR (c, t, e) ->
-            let taken = regs.(c) <> 0 in
-            let outcome = if flip then not taken else taken in
-            ignore (Hierarchy.branch machine ~pc ~taken:outcome);
-            run_block (if taken then t else e)
-        | DBrcK (taken, t, e) ->
-            let outcome = if flip then not taken else taken in
-            ignore (Hierarchy.branch machine ~pc ~taken:outcome);
-            run_block (if taken then t else e)
-      in
-      step 0
+(* Instructions are [Ir.instr_bytes] = [1 lsl instr_shift] bytes. *)
+let instr_shift = 2
+let () = assert (1 lsl instr_shift = Ir.instr_bytes)
+
+(* The state of one [run]. [fuel] is the fuel left as of the last
+   write-back: the block loop carries the live value as an argument and
+   stores it here before every [env] callback, at calls and returns,
+   and before a trap. The instructions retired since the last
+   [charge_batch] are exactly the fuel spent since then
+   ([flushed - fuel]), so only the mul/div surcharges accumulate per
+   instruction. *)
+type run_state = {
+  env : env;
+  machine : Hierarchy.t;
+  prog : Ir.program;
+  cost : Stz_machine.Cost.t;
+  decoded : dinstr array array array;  (** per function; [||] until first entry *)
+  memory : mem;
+  max_call_depth : int;
+  base_cycles : int;
+  fetch_shift : int;
+  fetch_line : int ref;  (** the machine's fetch-line memo *)
+  mutable fuel : int;
+  mutable flushed : int;  (** [fuel] at the last [charge_batch] *)
+  mutable surcharge : int;  (** mul/div cycles retired since then *)
+}
+
+(* One function invocation: its registers, frame and code placement,
+   and the block it is executing. *)
+type invocation = {
+  fid : int;
+  depth : int;
+  regs : int array;
+  frame_base : int;
+  view : code_view;
+  blocks : dinstr array array;
+  mutable base : int;  (** address of the current block's first instruction *)
+  mutable flip : bool;  (** the current block's branch-sense flip *)
+}
+
+(* Commit the retired instructions and their cycles in one
+   [charge_batch]. Called at exactly these points: before every [env]
+   callback (they may read cycles — re-randomization, profiling — or
+   raise — injected OOM), at function exit, and before
+   [Fuel_exhausted] or [Call_depth_exceeded]; so every external
+   observation of the machine sees exactly the totals per-instruction
+   charging would have produced. Cache/TLB/branch penalties still post
+   immediately; order within a block commutes because counters are
+   pure sums. *)
+let flush rs =
+  let n = rs.flushed - rs.fuel in
+  if n <> 0 then begin
+    Hierarchy.charge_batch rs.machine ~instructions:n
+      ~cycles:((n * rs.base_cycles) + rs.surcharge);
+    rs.flushed <- rs.fuel;
+    rs.surcharge <- 0
+  end
+
+let commit rs fuel =
+  rs.fuel <- fuel;
+  flush rs
+
+let out_of_fuel rs fuel =
+  commit rs fuel;
+  raise Fuel_exhausted
+
+(* The I-side access of instruction [ii] of the current block, whose
+   fetch line may differ from the memo. Returns the index of the first
+   instruction past that line: the instructions before it share the
+   line the memo now holds, so they skip the check until something else
+   can move the memo (a callback or a call). The distance to the next
+   line boundary is taken modulo the word size, so it lies in
+   [1, 1 lsl fetch_shift] for any [pc]. *)
+let fetch_check rs inv ii =
+  let pc = inv.base + (ii lsl instr_shift) in
+  let line = pc lsr rs.fetch_shift in
+  if line <> !(rs.fetch_line) then Hierarchy.fetch_cross rs.machine pc;
+  let to_boundary = ((line + 1) lsl rs.fetch_shift) - pc in
+  ii + 1 + ((to_boundary - 1) lsr instr_shift)
+
+let decode rs fid =
+  let db = rs.decoded.(fid) in
+  if Array.length db > 0 then db
+  else begin
+    let f = rs.prog.Ir.funcs.(fid) in
+    let db =
+      Array.map (fun b -> Array.map (decode_instr rs.cost) b.Ir.instrs) f.Ir.blocks
     in
-    let result = run_block 0 in
-    flush_pending ();
-    env.frame_pop ~fid;
-    result
+    rs.decoded.(fid) <- db;
+    db
+  end
+
+(* The block loop: [ii] indexes [code], the current block; [fuel] is
+   the fuel left and [cross] the index of the next instruction whose
+   fetch line can differ from the memo — 0 at block entry, [ii + 1]
+   after every callback or call. Each instruction checks the fuel,
+   makes its I-side access when [ii] reaches [cross], then executes. *)
+let rec step rs inv code ii fuel cross =
+  if fuel <= 0 then out_of_fuel rs fuel
+  else
+    let cross = if ii < cross then cross else fetch_check rs inv ii in
+    let fuel = fuel - 1 in
+    let regs = inv.regs in
+    match code.(ii) with
+    | DAddRR (d, a, b) ->
+        regs.(d) <- regs.(a) + regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DAddRI (d, a, k) ->
+        regs.(d) <- regs.(a) + k;
+        step rs inv code (ii + 1) fuel cross
+    | DSubRR (d, a, b) ->
+        regs.(d) <- regs.(a) - regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DSubRI (d, a, k) ->
+        regs.(d) <- regs.(a) - k;
+        step rs inv code (ii + 1) fuel cross
+    | DMulRR (d, a, b, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- regs.(a) * regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DMulRI (d, a, k, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- regs.(a) * k;
+        step rs inv code (ii + 1) fuel cross
+    | DAndRR (d, a, b) ->
+        regs.(d) <- regs.(a) land regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DAndRI (d, a, k) ->
+        regs.(d) <- regs.(a) land k;
+        step rs inv code (ii + 1) fuel cross
+    | DOrRR (d, a, b) ->
+        regs.(d) <- regs.(a) lor regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DOrRI (d, a, k) ->
+        regs.(d) <- regs.(a) lor k;
+        step rs inv code (ii + 1) fuel cross
+    | DXorRR (d, a, b) ->
+        regs.(d) <- regs.(a) lxor regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DXorRI (d, a, k) ->
+        regs.(d) <- regs.(a) lxor k;
+        step rs inv code (ii + 1) fuel cross
+    | DBinRR (op, d, a, b, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- eval_binop op regs.(a) regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DBinRI (op, d, a, k, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- eval_binop op regs.(a) k;
+        step rs inv code (ii + 1) fuel cross
+    | DBinIR (op, d, k, b, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- eval_binop op k regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DBinK (d, v, extra) ->
+        rs.surcharge <- rs.surcharge + extra;
+        regs.(d) <- v;
+        step rs inv code (ii + 1) fuel cross
+    | DCmpRR (op, d, a, b) ->
+        regs.(d) <- eval_cmp op regs.(a) regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DCmpRI (op, d, a, k) ->
+        regs.(d) <- eval_cmp op regs.(a) k;
+        step rs inv code (ii + 1) fuel cross
+    | DCmpIR (op, d, k, b) ->
+        regs.(d) <- eval_cmp op k regs.(b);
+        step rs inv code (ii + 1) fuel cross
+    | DCmpK (d, v) ->
+        regs.(d) <- v;
+        step rs inv code (ii + 1) fuel cross
+    | DMovR (d, r) ->
+        regs.(d) <- regs.(r);
+        step rs inv code (ii + 1) fuel cross
+    | DMovI (d, i) ->
+        regs.(d) <- i;
+        step rs inv code (ii + 1) fuel cross
+    | DLoad (d, b, o) ->
+        let addr = regs.(b) + o in
+        ignore (Hierarchy.data rs.machine addr);
+        let word = addr lsr 3 in
+        regs.(d) <- (mem_page rs.memory word).(word land page_mask);
+        step rs inv code (ii + 1) fuel cross
+    | DStoreR (b, o, r) ->
+        let addr = regs.(b) + o in
+        ignore (Hierarchy.data rs.machine addr);
+        let word = addr lsr 3 in
+        (mem_page rs.memory word).(word land page_mask) <- regs.(r);
+        step rs inv code (ii + 1) fuel cross
+    | DStoreI (b, o, i) ->
+        let addr = regs.(b) + o in
+        ignore (Hierarchy.data rs.machine addr);
+        let word = addr lsr 3 in
+        (mem_page rs.memory word).(word land page_mask) <- i;
+        step rs inv code (ii + 1) fuel cross
+    | DFrame (d, o) ->
+        regs.(d) <- inv.frame_base + o;
+        step rs inv code (ii + 1) fuel cross
+    | DGlobal (d, g) ->
+        commit rs fuel;
+        regs.(d) <- rs.env.global_addr ~caller:inv.fid ~gid:g;
+        step rs inv code (ii + 1) fuel (ii + 1)
+    | DMallocR (d, r) ->
+        let size = malloc_size regs.(r) in
+        commit rs fuel;
+        regs.(d) <- rs.env.malloc ~size;
+        step rs inv code (ii + 1) fuel (ii + 1)
+    | DMallocK (d, size) ->
+        commit rs fuel;
+        regs.(d) <- rs.env.malloc ~size;
+        step rs inv code (ii + 1) fuel (ii + 1)
+    | DFree r ->
+        commit rs fuel;
+        rs.env.free ~addr:regs.(r);
+        step rs inv code (ii + 1) fuel (ii + 1)
+    | DCall (fn, args, dst) ->
+        commit rs fuel;
+        rs.env.call_prologue ~caller:inv.fid ~callee:fn;
+        regs.(dst) <- exec_func rs (inv.depth + 1) fn regs args;
+        step rs inv code (ii + 1) rs.fuel (ii + 1)
+    | DRetR r ->
+        rs.fuel <- fuel;
+        regs.(r)
+    | DRetI i ->
+        rs.fuel <- fuel;
+        i
+    | DBr b -> enter_block rs inv b fuel
+    | DBrcR (c, t, e) ->
+        let taken = regs.(c) <> 0 in
+        branch rs inv ii taken;
+        enter_block rs inv (if taken then t else e) fuel
+    | DBrcK (taken, t, e) ->
+        branch rs inv ii taken;
+        enter_block rs inv (if taken then t else e) fuel
+
+and branch rs inv ii taken =
+  let outcome = if inv.flip then not taken else taken in
+  ignore
+    (Hierarchy.branch rs.machine ~pc:(inv.base + (ii lsl instr_shift)) ~taken:outcome)
+
+and enter_block rs inv bid fuel =
+  inv.base <- inv.view.block_addrs.(bid);
+  inv.flip <- inv.view.branch_flips.(bid);
+  step rs inv inv.blocks.(bid) 0 fuel 0
+
+(* Runs [fid] with its arguments read from [args] against the caller's
+   registers [caller_regs], straight into its own. [rs.fuel] is current
+   on entry and on return. *)
+and exec_func rs depth fid caller_regs args =
+  if depth > rs.max_call_depth then begin
+    flush rs;
+    raise Call_depth_exceeded
+  end;
+  let view = rs.env.enter_function ~fid in
+  let f = rs.prog.Ir.funcs.(fid) in
+  let blocks = decode rs fid in
+  let regs = Array.make (if f.Ir.n_regs > 1 then f.Ir.n_regs else 1) 0 in
+  let n_args = Array.length args in
+  let n = if n_args < f.Ir.n_args then n_args else f.Ir.n_args in
+  for i = 0 to n - 1 do
+    regs.(i) <- (match args.(i) with Ir.Reg r -> caller_regs.(r) | Ir.Imm k -> k)
+  done;
+  let frame_base = rs.env.frame_push ~fid in
+  let inv =
+    { fid; depth; regs; frame_base; view; blocks; base = 0; flip = false }
   in
-  let result = exec_func 0 p.Ir.entry args in
-  flush_pending ();
+  let result = enter_block rs inv 0 rs.fuel in
+  flush rs;
+  rs.env.frame_pop ~fid;
   result
 
+let run ?(limits = default_limits) (env : env) p ~args =
+  let machine = env.machine in
+  let cost = Hierarchy.cost machine in
+  let rs =
+    {
+      env;
+      machine;
+      prog = p;
+      cost;
+      decoded = Array.make (Array.length p.Ir.funcs) [||];
+      memory = mem_create ();
+      max_call_depth = limits.max_call_depth;
+      base_cycles = cost.Stz_machine.Cost.base_cycles;
+      fetch_shift = Hierarchy.fetch_shift machine;
+      fetch_line = Hierarchy.fetch_line_memo machine;
+      fuel = limits.max_instructions;
+      flushed = limits.max_instructions;
+      surcharge = 0;
+    }
+  in
+  let args = Array.of_list (List.map (fun a -> Ir.Imm a) args) in
+  exec_func rs 0 p.Ir.entry [||] args
 let plain_env ~machine ~code_addrs ~global_addrs ~stack_base ~malloc ~free p =
   let views =
     Array.mapi

@@ -14,7 +14,22 @@
     through [land 63] like a hardware shifter, then capped at 62 —
     keeping generated programs total. The clamp preserves odd amounts:
     an earlier [land 62] mask silently simulated [x lsl 1] as
-    [x lsl 0]. *)
+    [x lsl 0].
+
+    Execution changes host speed only, never a counter. Each function is
+    decoded once per run into forms chosen by operand shape; Add, Sub,
+    Mul, And, Or and Xor with a register or immediate second operand
+    have forms of their own, so each costs one dispatch. The
+    instructions retired since the last commit are the fuel spent since
+    then, so only mul/div surcharges accumulate per instruction; the
+    retired count and its cycles are committed with one
+    {!Stz_machine.Hierarchy.charge_batch} before every [env] callback,
+    at function exit, and before {!Fuel_exhausted} or
+    {!Call_depth_exceeded}. Every callback, and every trap, therefore
+    sees the counters that charging each instruction on its own would
+    have produced. An instruction makes its fetch only when its fetch
+    line can differ from the machine's memo: at block entry, after a
+    callback or a call, and on crossing into the next line. *)
 
 (** Per-invocation view of a function's code placement, captured at
     function entry. If the runtime re-randomizes while the invocation

@@ -216,8 +216,10 @@ let szc_bad_input_exits_cleanly () =
       exits 0 "run bzip2 --runs 1 --scale 0.05";
       exits 0 "run bzip2 --baseline --runs 3 --scale 0.05";
       exits 1 "power bzip2 --runs 1";
-      exits 3 "run bzip2 --shuffle-n 0 --runs 3 --scale 0.05";
-      exits 3 "campaign bzip2 --shuffle-n 0 --runs 3 --scale 0.05 --quiet";
+      (* A layout setting that would trap every run is a usage error. *)
+      exits 1 "run bzip2 --shuffle-n 0 --runs 3 --scale 0.05";
+      exits 1 "campaign bzip2 --shuffle-n 0 --runs 3 --scale 0.05 --quiet";
+      exits 1 "run bzip2 --env-bytes=-16 --runs 3 --scale 0.05";
       (* A program that recurses until its call depth runs out. *)
       let recursive = Filename.concat dir "recursive.ir" in
       Helpers.write_file recursive
@@ -227,7 +229,7 @@ let szc_bad_input_exits_cleanly () =
         \  r1 = call f0(r0)\n\
         \  ret r1\n";
       exits 3 ("exec " ^ Filename.quote recursive);
-      exits 3 ("exec " ^ Filename.quote recursive ^ " --shuffle-n 0");
+      exits 1 ("exec " ^ Filename.quote recursive ^ " --shuffle-n 0");
       (* --baseline: every run of an arm is the same layout. *)
       exits 2 "compare bzip2 --baseline --runs 5 --scale 0.05";
       exits 1 ("history " ^ ledger ^ " --show=-1");

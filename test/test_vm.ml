@@ -426,6 +426,239 @@ let interp_layout_affects_time_not_values () =
   check_int "same value under different layout" r1 r2
 
 (* ------------------------------------------------------------------ *)
+(* The block loop against a naive reference                            *)
+(* ------------------------------------------------------------------ *)
+
+module H = Stz_machine.Hierarchy
+
+(* The interpreter with none of its shortcuts: it runs the raw [Ir]
+   with no pre-decode, makes a [Hierarchy.fetch] on every instruction
+   (which retires it and charges its base cycles at once) and one
+   [Hierarchy.charge] per mul/div surcharge, and keeps memory in a
+   word map keyed by [addr lsr 3]. Same [env], limits and traps. *)
+module Ref_interp = struct
+  let binop op a b =
+    match op with
+    | Ir.Add -> a + b
+    | Ir.Sub -> a - b
+    | Ir.Mul -> a * b
+    | Ir.Div -> if b = 0 then 0 else a / b
+    | Ir.And -> a land b
+    | Ir.Or -> a lor b
+    | Ir.Xor -> a lxor b
+    | Ir.Shl -> a lsl min (b land 63) 62
+    | Ir.Shr -> a asr min (b land 63) 62
+
+  let cmp op (a : int) b =
+    let r =
+      match op with
+      | Ir.Eq -> a = b
+      | Ir.Ne -> a <> b
+      | Ir.Lt -> a < b
+      | Ir.Le -> a <= b
+      | Ir.Gt -> a > b
+      | Ir.Ge -> a >= b
+    in
+    if r then 1 else 0
+
+  let run ~(limits : I.limits) (env : I.env) p ~args =
+    let m = env.I.machine in
+    let cost = H.cost m in
+    let memory = Hashtbl.create 256 in
+    let fuel = ref limits.I.max_instructions in
+    let rec exec depth fid args =
+      if depth > limits.I.max_call_depth then raise I.Call_depth_exceeded;
+      let view = env.I.enter_function ~fid in
+      let f = p.Ir.funcs.(fid) in
+      let regs = Array.make (max 1 f.Ir.n_regs) 0 in
+      List.iteri (fun i a -> if i < f.Ir.n_args then regs.(i) <- a) args;
+      let frame = env.I.frame_push ~fid in
+      let value = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
+      let rec block bid =
+        let instrs = f.Ir.blocks.(bid).Ir.instrs in
+        let rec instr ii =
+          if !fuel <= 0 then raise I.Fuel_exhausted;
+          decr fuel;
+          let pc = view.I.block_addrs.(bid) + (ii * Ir.instr_bytes) in
+          ignore (H.fetch m pc);
+          let next () = instr (ii + 1) in
+          match instrs.(ii) with
+          | Ir.Bin (op, d, a, b) ->
+              (match op with
+              | Ir.Mul -> H.charge m cost.Stz_machine.Cost.mul
+              | Ir.Div -> H.charge m cost.Stz_machine.Cost.div
+              | _ -> ());
+              regs.(d) <- binop op (value a) (value b);
+              next ()
+          | Ir.Cmp (op, d, a, b) ->
+              regs.(d) <- cmp op (value a) (value b);
+              next ()
+          | Ir.Mov (d, a) ->
+              regs.(d) <- value a;
+              next ()
+          | Ir.Load (d, b, o) ->
+              let addr = regs.(b) + o in
+              ignore (H.data m addr);
+              regs.(d) <- Option.value (Hashtbl.find_opt memory (addr lsr 3)) ~default:0;
+              next ()
+          | Ir.Store (b, o, v) ->
+              let addr = regs.(b) + o in
+              ignore (H.data m addr);
+              Hashtbl.replace memory (addr lsr 3) (value v);
+              next ()
+          | Ir.Frame (d, o) ->
+              regs.(d) <- frame + o;
+              next ()
+          | Ir.Global (d, g) ->
+              regs.(d) <- env.I.global_addr ~caller:fid ~gid:g;
+              next ()
+          | Ir.Malloc (d, s) ->
+              regs.(d) <- env.I.malloc ~size:(max 1 (value s land 0xFFFFFF));
+              next ()
+          | Ir.Free r ->
+              env.I.free ~addr:regs.(r);
+              next ()
+          | Ir.Call { fn; args; dst } ->
+              let vals = List.map value args in
+              env.I.call_prologue ~caller:fid ~callee:fn;
+              regs.(dst) <- exec (depth + 1) fn vals;
+              next ()
+          | Ir.Ret v -> value v
+          | Ir.Br b -> block b
+          | Ir.Brc (c, t, e) ->
+              let taken = value c <> 0 in
+              let outcome = if view.I.branch_flips.(bid) then not taken else taken in
+              ignore (H.branch m ~pc ~taken:outcome);
+              block (if taken then t else e)
+        in
+        instr 0
+      in
+      let result = block 0 in
+      env.I.frame_pop ~fid;
+      result
+    in
+    exec 0 p.Ir.entry args
+end
+
+exception Injected_oom
+
+(* A [plain_env] on a machine with [l1i_line_bits] and [l1_hit] (a
+   non-zero hit cost turns the data-line memo off), wrapped so that
+   every callback logs the machine's counters when it is called — the
+   totals per-instruction charging has produced by then — and [malloc]
+   raises on call [oom_after + 1]. Functions sit at unaligned bases;
+   each entry shifts its function by 0, 20 or 40 bytes, as a
+   re-randomization would, and flips the branch sense of odd blocks. *)
+let observed_env ~l1i_line_bits ~l1_hit ~oom_after p =
+  let machine =
+    H.create
+      ~cost:{ Stz_machine.Cost.default with Stz_machine.Cost.l1_hit }
+      ~l1i:{ Stz_machine.Cache.sets = 64; ways = 2; line_bits = l1i_line_bits }
+      ()
+  in
+  let code_addrs = Array.mapi (fun fid _ -> 0x400000 + (fid * 0x2000) + (12 * fid)) p.Ir.funcs in
+  let global_addrs = Array.mapi (fun gid _ -> 0x600000 + (gid * 0x1000)) p.Ir.globals in
+  let brk = ref 0x10000000 in
+  let malloc size =
+    let a = !brk in
+    brk := !brk + ((size + 15) land lnot 15);
+    a
+  in
+  let e =
+    I.plain_env ~machine ~code_addrs ~global_addrs ~stack_base:0x7FFF0000 ~malloc
+      ~free:(fun _ -> ()) p
+  in
+  let log = ref [] in
+  let seen what = log := (what, H.counters machine) :: !log in
+  let entries = ref 0 and mallocs = ref 0 in
+  let env =
+    {
+      e with
+      I.enter_function =
+        (fun ~fid ->
+          seen "enter";
+          incr entries;
+          let v = e.I.enter_function ~fid in
+          let shift = 20 * (!entries mod 3) in
+          {
+            I.block_addrs = Array.map (fun a -> a + shift) v.I.block_addrs;
+            branch_flips = Array.mapi (fun b _ -> b land 1 = 1) v.I.branch_flips;
+          });
+      frame_push = (fun ~fid -> seen "push"; e.I.frame_push ~fid);
+      frame_pop = (fun ~fid -> seen "pop"; e.I.frame_pop ~fid);
+      global_addr = (fun ~caller ~gid -> seen "global"; e.I.global_addr ~caller ~gid);
+      malloc =
+        (fun ~size ->
+          seen "malloc";
+          incr mallocs;
+          if !mallocs > oom_after then raise Injected_oom;
+          e.I.malloc ~size);
+      free = (fun ~addr -> seen "free"; e.I.free ~addr);
+      call_prologue =
+        (fun ~caller ~callee -> seen "prologue"; e.I.call_prologue ~caller ~callee);
+    }
+  in
+  (env, machine, log, mallocs)
+
+(* [Interp.run] against [Ref_interp] over seeded fuzz programs at O0
+   and O3, five L1I line sizes (1 to 512 bytes) and both [l1_hit]
+   costs, with fuel budgets around the run's length n (0, 1, 7, n/3,
+   n-1, n, n+1), a call-depth limit that traps, and a [malloc] that
+   raises halfway through the run's allocations. The two must agree on
+   the result or the exception, on all ten counters afterwards (partial
+   ones at a trap), and on the counters every callback saw. *)
+let interp_matches_reference () =
+  for index = 0 to 15 do
+    let plan = Stz_workloads.Fuzz.plan ~fuzz_seed:21L ~index in
+    let src = Stz_workloads.Fuzz.build plan in
+    let args = Stz_workloads.Fuzz.args plan in
+    List.iter
+      (fun level ->
+        let p = Stz_vm.Opt.apply level src in
+        let outcome f =
+          match f () with v -> Printf.sprintf "returned %d" v | exception e -> Printexc.to_string e
+        in
+        let both ?(oom_after = max_int) ~l1i_line_bits ~l1_hit (limits : I.limits) =
+          let side run =
+            let env, machine, log, mallocs = observed_env ~l1i_line_bits ~l1_hit ~oom_after p in
+            let o = outcome (fun () -> run env) in
+            (o, H.counters machine, List.rev !log, !mallocs)
+          in
+          let o, c, log, mallocs = side (fun env -> I.run ~limits env p ~args) in
+          let o', c', log', _ = side (fun env -> Ref_interp.run ~limits env p ~args) in
+          let where =
+            Printf.sprintf "plan %d %s, line_bits %d, l1_hit %d, fuel %d, depth %d, oom after %d"
+              index (Stz_vm.Opt.level_to_string level) l1i_line_bits l1_hit
+              limits.I.max_instructions limits.I.max_call_depth oom_after
+          in
+          if o <> o' then Alcotest.failf "%s: %s, reference %s" where o o';
+          List.iter2
+            (fun (k, v) (_, v') ->
+              if v <> v' then Alcotest.failf "%s: %s %d, reference %d" where k v v')
+            (H.counters_fields c) (H.counters_fields c');
+          if log <> log' then Alcotest.failf "%s: callbacks saw other counters" where;
+          (c, mallocs)
+        in
+        let unlimited = I.limits () in
+        let c, mallocs = both ~l1i_line_bits:6 ~l1_hit:0 unlimited in
+        let n = c.H.instructions in
+        List.iter
+          (fun l1i_line_bits ->
+            List.iter
+              (fun l1_hit ->
+                List.iter
+                  (fun fuel ->
+                    ignore
+                      (both ~l1i_line_bits ~l1_hit (I.limits ~max_instructions:fuel ())))
+                  [ 0; 1; 7; n / 3; n - 1; n; n + 1 ];
+                ignore (both ~l1i_line_bits ~l1_hit (I.limits ~max_call_depth:1 ()));
+                ignore (both ~oom_after:(mallocs / 2) ~l1i_line_bits ~l1_hit unlimited))
+              [ 0; 1 ])
+          [ 0; 2; 3; 6; 9 ])
+      [ Stz_vm.Opt.O0; Stz_vm.Opt.O3 ]
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Ir utilities                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -597,6 +830,8 @@ let () =
           Alcotest.test_case "layout-independent values" `Quick interp_layout_affects_time_not_values;
           Alcotest.test_case "paged memory matches word map" `Quick
             interp_paged_memory_matches_word_map;
+          Alcotest.test_case "matches reference interpreter" `Quick
+            interp_matches_reference;
         ] );
       ( "text format",
         [
