@@ -1,7 +1,4 @@
-let compile ~opt p =
-  let compiled = Stz_vm.Opt.apply opt p in
-  Stz_vm.Validate.check_exn compiled;
-  compiled
+let compile ~opt p = Stz_vm.Opt.apply opt p
 
 let build_and_run ?jobs ?limits ?profile ?events ?profiled ~config ~opt
     ~base_seed ~runs ~args p =

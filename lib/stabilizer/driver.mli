@@ -3,8 +3,8 @@
     the equivalent of substituting szc for the default compiler and
     enabling randomizations with flags. *)
 
-(** [compile ~opt p] applies the optimization pipeline and validates
-    the result. *)
+(** [compile ~opt p] applies the optimization pipeline; {!Stz_vm.Opt.apply}
+    validates the result. *)
 val compile : opt:Stz_vm.Opt.level -> Stz_vm.Ir.program -> Stz_vm.Ir.program
 
 (** [build_and_run ~config ~opt ~base_seed ~runs ~args p] compiles then

@@ -71,11 +71,7 @@ let globals_end space p =
     (fun acc (g : Ir.global) -> acc + ((g.Ir.gsize + 15) land lnot 15))
     space.Address_space.globals_base p.Ir.globals
 
-let run ?limits ?(profile = false) ?(events = false) ?machine_factory
-    ?(env_wrap = Fun.id) ~config ~seed p ~args =
-  let machine =
-    match machine_factory with Some f -> f () | None -> Hierarchy.create ()
-  in
+let execute ?limits ~profile ~events ~env_wrap ~config ~seed p ~args machine =
   let profiler = if profile then Some (Profiler.create p) else None in
   let rlog = if events then Some (Runlog.create ()) else None in
   let seeds = Splitmix.create seed in
@@ -316,3 +312,27 @@ let run ?limits ?(profile = false) ?(events = false) ?machine_factory
         }
       in
       raise (Trap { trap; partial; events = trap_events })
+
+(* The process's spare default machine. A run without a factory takes
+   it and resets it, which is cheaper than building one and allocates
+   nothing, and puts it back when it returns or traps. A run that finds
+   the slot empty (one nested in another run's callbacks) builds its
+   own. Forked workers inherit the slot. *)
+let spare : Hierarchy.t option Atomic.t = Atomic.make None
+
+let run ?limits ?(profile = false) ?(events = false) ?machine_factory
+    ?(env_wrap = Fun.id) ~config ~seed p ~args =
+  match machine_factory with
+  | Some factory ->
+      execute ?limits ~profile ~events ~env_wrap ~config ~seed p ~args (factory ())
+  | None ->
+      let machine =
+        match Atomic.exchange spare None with
+        | Some m ->
+            Hierarchy.reset m;
+            m
+        | None -> Hierarchy.create ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set spare (Some machine))
+        (fun () -> execute ?limits ~profile ~events ~env_wrap ~config ~seed p ~args machine)

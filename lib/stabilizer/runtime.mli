@@ -1,6 +1,6 @@
 (** The STABILIZER runtime: wires a program, a configuration and a
-    fresh machine model into an interpreter environment, runs the
-    program, and reports timing.
+    machine model in its initial state into an interpreter environment,
+    runs the program, and reports timing.
 
     With code randomization on, function entries go through the
     trap/relocate machinery of {!Stz_layout.Code_rand}; the
@@ -61,10 +61,15 @@ val partial_of_result : result -> partial
     drives every random choice (link order, heap shuffling, code
     placement, stack pads), so runs are reproducible; vary the seed to
     sample the layout space. [machine_factory] substitutes a non-default
-    machine model (each run gets a fresh instance). [env_wrap] is
-    applied to the fully-built interpreter environment just before
-    execution — the hook through which {!Stz_faults.Injector} injects
-    allocation failures, heap poisoning and preemption spikes. *)
+    machine model, and each such run gets a fresh instance from it.
+    Runs without a factory share one default machine per process,
+    reset ({!Stz_machine.Hierarchy.reset}) before each run, so each
+    charges exactly as on a fresh one; a run that starts while another
+    holds it (one nested in the other's callbacks) gets a fresh one.
+    [env_wrap] is applied to the fully-built interpreter environment
+    just before execution — the hook through which
+    {!Stz_faults.Injector} injects allocation failures, heap poisoning
+    and preemption spikes. *)
 val run :
   ?limits:Stz_vm.Interp.limits ->
   ?profile:bool ->

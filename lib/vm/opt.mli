@@ -14,8 +14,21 @@
       hot code) remains large, which is exactly the confound the paper's
       evaluation untangles.
 
-    All passes return fresh programs; inputs are never mutated, and the
-    output of every pipeline revalidates. *)
+    All passes return fresh programs; inputs are never mutated (an
+    unchanged instruction, an immutable value, may be shared between
+    input and output), and the output of every pipeline revalidates.
+
+    Cost: {!apply} copies its input once and runs its pipeline in place
+    on that copy. Each pass is linear in the IR instructions it visits,
+    with a few array operations per instruction and no polymorphic hash
+    or compare: {!const_fold}, {!dce} and {!cse_local} index their state
+    by register; {!cse_local} invalidates through a per-register index
+    of the expressions a register holds or feeds, and its table of
+    available expressions hashes them by hand; {!dce} reaches its
+    fixpoint with read counts and a worklist, not by re-scanning;
+    {!inline_leaves} decides whether a callee is inlinable once per
+    function. A pass rewrites only the instructions it changes. Each
+    exposed pass copies its input once. *)
 
 type level = O0 | O1 | O2 | O3
 
@@ -58,10 +71,3 @@ val inline_leaves : ?threshold:int -> Ir.program -> Ir.program
 (** Remove functions unreachable from the entry point and globals no
     remaining function references, renumbering densely. *)
 val strip_dead : Ir.program -> Ir.program
-
-(** Block-local copy propagation: uses of a register holding a pure
-    copy ([Mov (d, Reg s)]) are rewritten to the source while the copy
-    is live; dead moves are then removable by {!dce}. Not part of the
-    default pipelines (kept separate so calibrated O-level deltas stay
-    meaningful) but available for custom drivers. *)
-val copy_propagate : Ir.program -> Ir.program

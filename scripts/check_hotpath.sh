@@ -3,10 +3,12 @@
 # unannotated [=], [<] or [min] on ints compiles to a C call into the
 # runtime's polymorphic compare (or to Stdlib.min/max, which make that
 # call), and one such call on the interpreter's or the machine model's
-# hot path costs more than the work around it.
+# hot path costs more than the work around it. The optimizer
+# (Stz_vm.Opt) is on the list too: it runs once per IR instruction per
+# compile, and a fuzz case compiles four times (O0 to O3).
 #
-# Builds the tree, disassembles the objects of Stz_vm.Interp and of
-# Stz_machine.{Cache,Tlb,Branch,Hierarchy} with their relocations, and
+# Builds the tree, disassembles the objects of Stz_vm.{Interp,Opt} and
+# of Stz_machine.{Cache,Tlb,Branch,Hierarchy} with their relocations, and
 # lists every call to caml_{compare,equal,notequal,lessthan,lessequal,
 # greaterthan,greaterequal} or camlStdlib.{min,max}_*.
 #
@@ -20,6 +22,7 @@ dune build
 
 objs="
 _build/default/lib/vm/.stz_vm.objs/native/stz_vm__Interp.o
+_build/default/lib/vm/.stz_vm.objs/native/stz_vm__Opt.o
 _build/default/lib/machine/.stz_machine.objs/native/stz_machine__Cache.o
 _build/default/lib/machine/.stz_machine.objs/native/stz_machine__Tlb.o
 _build/default/lib/machine/.stz_machine.objs/native/stz_machine__Branch.o

@@ -91,11 +91,30 @@ let cache_flush_and_reset () =
     done;
     M.Hierarchy.counters_fields (M.Hierarchy.counters h)
   in
+  (* The used machine takes ITLB and DTLB misses over 200 pages, then
+     ends on the stream's own lines and pages, and trains the predictor
+     at the stream's branch addresses against the stream's bias: any
+     state a reset left behind would change the stream's counters. *)
   let h = M.Hierarchy.create () in
   for i = 0 to 199 do
     ignore (M.Hierarchy.data h (0x10000000 + (4096 * i)));
-    ignore (M.Hierarchy.fetch h (0x400000 + (64 * i)))
+    ignore (M.Hierarchy.fetch h (0x400000 + (4096 * i) + (64 * (i mod 64))))
   done;
+  for i = 0 to 39 do
+    ignore (M.Hierarchy.fetch h (0x400000 + (4 * i)));
+    ignore (M.Hierarchy.data h (0x10000000 + (4096 * (i mod 3)) + (8 * (i mod 5))));
+    for _ = 1 to 3 do
+      ignore (M.Hierarchy.branch h ~pc:(0x400000 + (4 * i)) ~taken:(i mod 3 <> 0))
+    done
+  done;
+  let used = M.Hierarchy.counters h in
+  List.iter
+    (fun (what, n) -> check_bool ("used machine " ^ what) true (n > 0))
+    [
+      ("took ITLB misses", used.M.Hierarchy.itlb_misses);
+      ("took DTLB misses", used.M.Hierarchy.dtlb_misses);
+      ("trained the predictor", used.M.Hierarchy.branches);
+    ];
   M.Hierarchy.reset h;
   List.iter2
     (fun (k, fresh) (_, reset) -> check_int ("reset machine: " ^ k) fresh reset)

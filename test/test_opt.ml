@@ -208,21 +208,21 @@ let cse_removes_duplicate () =
   let v, _, _ = run_plain q [] in
   check_int "value preserved" 84 v
 
+(* x*y computed, then x changes: the second x*y must NOT be reused. *)
+let cse_redefinition_program () =
+  single ~n_regs:6
+    [
+      Ir.Mov (0, Ir.Imm 2);
+      Ir.Mov (1, Ir.Imm 3);
+      Ir.Bin (Ir.Mul, 2, Ir.Reg 0, Ir.Reg 1);
+      Ir.Mov (0, Ir.Imm 10) (* redefinition *);
+      Ir.Bin (Ir.Mul, 3, Ir.Reg 0, Ir.Reg 1);
+      Ir.Bin (Ir.Add, 4, Ir.Reg 2, Ir.Reg 3);
+      Ir.Ret (Ir.Reg 4);
+    ]
+
 let cse_respects_redefinition () =
-  (* x*y computed, then x changes: the second x*y must NOT be reused. *)
-  let p =
-    single ~n_regs:6
-      [
-        Ir.Mov (0, Ir.Imm 2);
-        Ir.Mov (1, Ir.Imm 3);
-        Ir.Bin (Ir.Mul, 2, Ir.Reg 0, Ir.Reg 1);
-        Ir.Mov (0, Ir.Imm 10) (* redefinition *);
-        Ir.Bin (Ir.Mul, 3, Ir.Reg 0, Ir.Reg 1);
-        Ir.Bin (Ir.Add, 4, Ir.Reg 2, Ir.Reg 3);
-        Ir.Ret (Ir.Reg 4);
-      ]
-  in
-  let q = O.cse_local p in
+  let q = O.cse_local (cse_redefinition_program ()) in
   (match List.nth (instrs_of q) 4 with
   | Ir.Bin (Ir.Mul, 3, Ir.Reg 0, Ir.Reg 1) -> ()
   | Ir.Mov _ -> Alcotest.fail "unsound reuse after redefinition"
@@ -230,37 +230,59 @@ let cse_respects_redefinition () =
   let v, _, _ = run_plain q [] in
   check_int "6 + 30" 36 v
 
+(* acc = acc + 1 twice: the second is NOT redundant. *)
+let cse_self_referential_program () =
+  single ~n_regs:2
+    [
+      Ir.Mov (0, Ir.Imm 5);
+      Ir.Bin (Ir.Add, 0, Ir.Reg 0, Ir.Imm 1);
+      Ir.Bin (Ir.Add, 0, Ir.Reg 0, Ir.Imm 1);
+      Ir.Ret (Ir.Reg 0);
+    ]
+
 let cse_self_referential_key () =
-  (* acc = acc + 1 twice: the second is NOT redundant. *)
-  let p =
-    single ~n_regs:2
-      [
-        Ir.Mov (0, Ir.Imm 5);
-        Ir.Bin (Ir.Add, 0, Ir.Reg 0, Ir.Imm 1);
-        Ir.Bin (Ir.Add, 0, Ir.Reg 0, Ir.Imm 1);
-        Ir.Ret (Ir.Reg 0);
-      ]
-  in
-  let q = O.cse_local p in
+  let q = O.cse_local (cse_self_referential_program ()) in
   let v, _, _ = run_plain q [] in
   check_int "both increments kept" 7 v
 
+let cse_store_program () =
+  single ~n_regs:6
+    [
+      Ir.Frame (0, 0);
+      Ir.Store (0, 0, Ir.Imm 1);
+      Ir.Load (1, 0, 0);
+      Ir.Store (0, 0, Ir.Imm 2) (* clobbers *);
+      Ir.Load (2, 0, 0) (* must reload *);
+      Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Reg 2);
+      Ir.Ret (Ir.Reg 3);
+    ]
+
 let cse_load_invalidated_by_store () =
-  let p =
-    single ~n_regs:6
-      [
-        Ir.Frame (0, 0);
-        Ir.Store (0, 0, Ir.Imm 1);
-        Ir.Load (1, 0, 0);
-        Ir.Store (0, 0, Ir.Imm 2) (* clobbers *);
-        Ir.Load (2, 0, 0) (* must reload *);
-        Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Reg 2);
-        Ir.Ret (Ir.Reg 3);
-      ]
-  in
-  let q = O.cse_local p in
+  let q = O.cse_local (cse_store_program ()) in
   let v, _, _ = run_plain q [] in
   check_int "1 + 2" 3 v
+
+(* x*y is held in r2, then r2 is overwritten: the second x*y must NOT
+   become a copy of r2. *)
+let cse_holder_program () =
+  single ~n_regs:5
+    [
+      Ir.Mov (0, Ir.Imm 6);
+      Ir.Mov (1, Ir.Imm 7);
+      Ir.Bin (Ir.Mul, 2, Ir.Reg 0, Ir.Reg 1);
+      Ir.Mov (2, Ir.Imm 1) (* the holder redefined *);
+      Ir.Bin (Ir.Mul, 3, Ir.Reg 0, Ir.Reg 1);
+      Ir.Bin (Ir.Add, 4, Ir.Reg 2, Ir.Reg 3);
+      Ir.Ret (Ir.Reg 4);
+    ]
+
+let cse_respects_holder_redefinition () =
+  let q = O.cse_local (cse_holder_program ()) in
+  (match List.nth (instrs_of q) 4 with
+  | Ir.Bin (Ir.Mul, 3, Ir.Reg 0, Ir.Reg 1) -> ()
+  | _ -> Alcotest.fail "reused a register that no longer holds the value");
+  let v, _, _ = run_plain q [] in
+  check_int "1 + 42" 43 v
 
 let cse_reuses_repeated_load () =
   let p =
@@ -347,6 +369,50 @@ let inline_respects_threshold () =
   in
   check_int "too big to inline" 2 calls
 
+(* Functions are expanded in fid order: f2 calls the leaf f1, so it is
+   not a leaf when main (f0) is expanded, but once its own call is
+   inlined it is one, and f3, expanded after it, inlines it. *)
+let expanded_callee_program () =
+  let leaf =
+    let b = B.func ~fid:1 ~name:"leaf" ~n_args:1 () in
+    let r = B.fresh_reg b in
+    B.emit b (Ir.Bin (Ir.Add, r, Ir.Reg 0, Ir.Imm 1));
+    B.emit b (Ir.Ret (Ir.Reg r));
+    B.finish b
+  in
+  let caller fid ~callee =
+    let b = B.func ~fid ~name:(Printf.sprintf "f%d" fid) ~n_args:1 () in
+    let r = B.fresh_reg b in
+    B.emit b (Ir.Call { fn = callee; args = [ Ir.Reg 0 ]; dst = r });
+    B.emit b (Ir.Ret (Ir.Reg r));
+    B.finish b
+  in
+  let main =
+    let b = B.func ~fid:0 ~name:"main" ~n_args:0 () in
+    let r2 = B.fresh_reg b and r3 = B.fresh_reg b and out = B.fresh_reg b in
+    B.emit b (Ir.Call { fn = 2; args = [ Ir.Imm 10 ]; dst = r2 });
+    B.emit b (Ir.Call { fn = 3; args = [ Ir.Imm 20 ]; dst = r3 });
+    B.emit b (Ir.Bin (Ir.Add, out, Ir.Reg r2, Ir.Reg r3));
+    B.emit b (Ir.Ret (Ir.Reg out));
+    B.finish b
+  in
+  B.program ~funcs:[ main; leaf; caller 2 ~callee:1; caller 3 ~callee:2 ] ~globals:[] ~entry:0
+
+let inline_expanded_callee () =
+  let p = expanded_callee_program () in
+  let q = O.inline_leaves p in
+  let calls fid =
+    Array.fold_left
+      (fun acc blk ->
+        acc + Array.fold_left (fun a i -> match i with Ir.Call _ -> a + 1 | _ -> a) 0 blk.Ir.instrs)
+      0 q.Ir.funcs.(fid).Ir.blocks
+  in
+  check_int "main keeps its calls: f2 and f3 were not leaves yet" 2 (calls 0);
+  check_int "f2 inlined the leaf" 0 (calls 2);
+  check_int "f3 inlined the expanded f2" 0 (calls 3);
+  let v, _, _ = run_plain q [] in
+  check_int "semantics preserved" 32 v
+
 let inline_skips_multiblock () =
   (* A callee with a branch is not inlined. *)
   let callee =
@@ -372,87 +438,6 @@ let inline_skips_multiblock () =
   (match q.Ir.funcs.(0).Ir.blocks.(0).Ir.instrs.(0) with
   | Ir.Call _ -> ()
   | _ -> Alcotest.fail "multi-block callee was inlined")
-
-(* ------------------------------------------------------------------ *)
-(* Copy propagation                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let copy_prop_rewrites_uses () =
-  let p =
-    single ~n_regs:4
-      [
-        Ir.Mov (0, Ir.Imm 5);
-        Ir.Mov (1, Ir.Reg 0) (* copy *);
-        Ir.Bin (Ir.Add, 2, Ir.Reg 1, Ir.Reg 1);
-        Ir.Ret (Ir.Reg 2);
-      ]
-  in
-  let q = O.copy_propagate p in
-  (match List.nth (instrs_of q) 2 with
-  | Ir.Bin (Ir.Add, 2, Ir.Reg 0, Ir.Reg 0) -> ()
-  | _ -> Alcotest.fail "uses not rewritten to the copy source");
-  (* The now-dead move disappears under DCE. *)
-  let r = O.dce q in
-  check_int "dead copy removed" 3 (List.length (instrs_of r));
-  let v, _, _ = run_plain r [] in
-  check_int "value preserved" 10 v
-
-let copy_prop_respects_redefinition () =
-  (* After the source is overwritten, the copy must no longer be used. *)
-  let p =
-    single ~n_regs:4
-      [
-        Ir.Mov (0, Ir.Imm 5);
-        Ir.Mov (1, Ir.Reg 0);
-        Ir.Mov (0, Ir.Imm 9) (* source redefined *);
-        Ir.Bin (Ir.Add, 2, Ir.Reg 1, Ir.Reg 0);
-        Ir.Ret (Ir.Reg 2);
-      ]
-  in
-  let q = O.copy_propagate p in
-  let v, _, _ = run_plain q [] in
-  check_int "5 + 9" 14 v
-
-let copy_prop_chains () =
-  (* r2 = r1 = r0: uses of r2 go straight to r0. *)
-  let p =
-    single ~n_regs:4
-      [
-        Ir.Mov (0, Ir.Imm 3);
-        Ir.Mov (1, Ir.Reg 0);
-        Ir.Mov (2, Ir.Reg 1);
-        Ir.Ret (Ir.Reg 2);
-      ]
-  in
-  let q = O.copy_propagate p in
-  (match List.nth (instrs_of q) 3 with
-  | Ir.Ret (Ir.Reg 0) -> ()
-  | _ -> Alcotest.fail "chain not collapsed");
-  let v, _, _ = run_plain q [] in
-  check_int "value" 3 v
-
-let copy_prop_preserves_semantics =
-  QCheck.Test.make ~name:"copy propagation preserves results" ~count:8
-    QCheck.(int_bound 1000)
-    (fun seed ->
-      let prof =
-        {
-          Stz_workloads.Profile.default with
-          Stz_workloads.Profile.name = "cp-test";
-          functions = 6;
-          hot_functions = 3;
-          iterations = 4;
-          inner_trips = 5;
-          seed = Int64.of_int (seed + 900);
-        }
-      in
-      let p = Stz_workloads.Generate.program prof in
-      let reference, _, _ = run_plain p [ 1 ] in
-      let q = O.dce (O.copy_propagate p) in
-      V.check_program q = []
-      &&
-      let v, _, _ = run_plain q [ 1 ] in
-      v = reference)
 
 (* ------------------------------------------------------------------ *)
 (* strip_dead                                                          *)
@@ -497,6 +482,604 @@ let strip_dead_renumbers () =
   let q = O.strip_dead (strip_dead_program ()) in
   Array.iteri (fun i f -> check_int "dense fid" i f.Ir.fid) q.Ir.funcs;
   Array.iteri (fun i (g : Ir.global) -> check_int "dense gid" i g.Ir.gid) q.Ir.globals
+
+(* ------------------------------------------------------------------ *)
+(* The optimizer against its old self                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The passes as they were before they rewrote programs in place: every
+   pass copies the whole program, [const_fold] keeps a [Hashtbl] per
+   block, [cse_local] scans its whole table on every definition, store
+   and call, [dce] re-scans the function until nothing changes, and
+   [inline_leaves] re-derives each callee's inlinability at every call
+   site. Kept verbatim as the reference [Opt] must equal. *)
+module Ref_opt = struct
+  module Interp = Stz_vm.Interp
+  module Validate = Stz_vm.Validate
+
+  let map_funcs f p =
+    let p = Ir.copy_program p in
+    p.Ir.funcs <- Array.map f p.Ir.funcs;
+    p
+
+  (* ------------------------------------------------------------------ *)
+  (* Constant folding                                                    *)
+  (* ------------------------------------------------------------------ *)
+
+  let fold_block blk =
+    let known : (Ir.reg, int) Hashtbl.t = Hashtbl.create 16 in
+    let subst = function
+      | Ir.Reg r as op ->
+          (match Hashtbl.find_opt known r with Some v -> Ir.Imm v | None -> op)
+      | Ir.Imm _ as op -> op
+    in
+    let define d value =
+      match value with
+      | Some v -> Hashtbl.replace known d v
+      | None -> Hashtbl.remove known d
+    in
+    let fold_instr instr =
+      match instr with
+      | Ir.Bin (op, d, a, b) -> (
+          let a = subst a and b = subst b in
+          match (a, b) with
+          | Ir.Imm x, Ir.Imm y ->
+              let v = Interp.eval_binop op x y in
+              define d (Some v);
+              Ir.Mov (d, Ir.Imm v)
+          | _ ->
+              define d None;
+              Ir.Bin (op, d, a, b))
+      | Ir.Cmp (op, d, a, b) -> (
+          let a = subst a and b = subst b in
+          match (a, b) with
+          | Ir.Imm x, Ir.Imm y ->
+              let v = Interp.eval_cmp op x y in
+              define d (Some v);
+              Ir.Mov (d, Ir.Imm v)
+          | _ ->
+              define d None;
+              Ir.Cmp (op, d, a, b))
+      | Ir.Mov (d, a) -> (
+          let a = subst a in
+          (match a with
+          | Ir.Imm v -> define d (Some v)
+          | Ir.Reg _ -> define d None);
+          Ir.Mov (d, a))
+      | Ir.Load (d, b, o) ->
+          define d None;
+          Ir.Load (d, b, o)
+      | Ir.Store (b, o, v) -> Ir.Store (b, o, subst v)
+      | Ir.Frame (d, o) ->
+          define d None;
+          Ir.Frame (d, o)
+      | Ir.Global (d, g) ->
+          define d None;
+          Ir.Global (d, g)
+      | Ir.Malloc (d, s) ->
+          define d None;
+          Ir.Malloc (d, subst s)
+      | Ir.Free r -> Ir.Free r
+      | Ir.Call { fn; args; dst } ->
+          let args = List.map subst args in
+          define dst None;
+          Ir.Call { fn; args; dst }
+      | Ir.Ret v -> Ir.Ret (subst v)
+      | Ir.Br b -> Ir.Br b
+      | Ir.Brc (c, t, e) -> (
+          match subst c with
+          | Ir.Imm v -> Ir.Br (if v <> 0 then t else e)
+          | Ir.Reg _ as c -> Ir.Brc (c, t, e))
+    in
+    blk.Ir.instrs <- Array.map fold_instr blk.Ir.instrs
+
+  let const_fold p =
+    map_funcs
+      (fun f ->
+        Array.iter fold_block f.Ir.blocks;
+        f)
+      p
+
+  (* ------------------------------------------------------------------ *)
+  (* Algebraic simplification                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  type planted = O.planted = Shift_clamp
+
+  let planted_bug = O.planted_bug
+
+  let simplify_instr instr =
+    match instr with
+    (* Test hook for the fuzzer's acceptance gauntlet: with Shift_clamp
+       planted, shift-by-1 is "simplified" to a move — the observable
+       symptom of the old [land 62] clamp, now expressed as a
+       miscompile the differential oracles must catch. Listed before the
+       legitimate identities so it wins the match when armed. *)
+    | Ir.Bin ((Ir.Shl | Ir.Shr), d, x, Ir.Imm 1) when !planted_bug = Some Shift_clamp
+      ->
+        Ir.Mov (d, x)
+    | Ir.Bin (op, d, a, b) -> (
+        match (op, a, b) with
+        | Ir.Add, x, Ir.Imm 0 | Ir.Add, Ir.Imm 0, x -> Ir.Mov (d, x)
+        | Ir.Sub, x, Ir.Imm 0 -> Ir.Mov (d, x)
+        | Ir.Mul, x, Ir.Imm 1 | Ir.Mul, Ir.Imm 1, x -> Ir.Mov (d, x)
+        | Ir.Mul, _, Ir.Imm 0 | Ir.Mul, Ir.Imm 0, _ -> Ir.Mov (d, Ir.Imm 0)
+        | Ir.Div, x, Ir.Imm 1 -> Ir.Mov (d, x)
+        | Ir.And, _, Ir.Imm 0 | Ir.And, Ir.Imm 0, _ -> Ir.Mov (d, Ir.Imm 0)
+        | Ir.Or, x, Ir.Imm 0 | Ir.Or, Ir.Imm 0, x -> Ir.Mov (d, x)
+        | Ir.Xor, x, Ir.Imm 0 | Ir.Xor, Ir.Imm 0, x -> Ir.Mov (d, x)
+        | (Ir.Shl | Ir.Shr), x, Ir.Imm 0 -> Ir.Mov (d, x)
+        | _ -> instr)
+    | _ -> instr
+
+  let simplify p =
+    map_funcs
+      (fun f ->
+        Array.iter
+          (fun blk -> blk.Ir.instrs <- Array.map simplify_instr blk.Ir.instrs)
+          f.Ir.blocks;
+        f)
+      p
+
+  (* ------------------------------------------------------------------ *)
+  (* Dead code elimination                                               *)
+  (* ------------------------------------------------------------------ *)
+
+  let reads_of instr =
+    let of_operand = function Ir.Reg r -> [ r ] | Ir.Imm _ -> [] in
+    match instr with
+    | Ir.Bin (_, _, a, b) | Ir.Cmp (_, _, a, b) -> of_operand a @ of_operand b
+    | Ir.Mov (_, a) -> of_operand a
+    | Ir.Load (_, b, _) -> [ b ]
+    | Ir.Store (b, _, v) -> b :: of_operand v
+    | Ir.Frame _ | Ir.Global _ -> []
+    | Ir.Malloc (_, s) -> of_operand s
+    | Ir.Free r -> [ r ]
+    | Ir.Call { args; _ } -> List.concat_map of_operand args
+    | Ir.Ret v -> of_operand v
+    | Ir.Br _ -> []
+    | Ir.Brc (c, _, _) -> of_operand c
+
+  (* The destination of a pure (removable-when-dead) instruction. Calls,
+     stores, frees and terminators are never removed. Loads are pure:
+     removing a dead load preserves values (it only changes timing, which
+     is what optimization is supposed to do). *)
+  let pure_dst = function
+    | Ir.Bin (_, d, _, _)
+    | Ir.Cmp (_, d, _, _)
+    | Ir.Mov (d, _)
+    | Ir.Load (d, _, _)
+    | Ir.Frame (d, _)
+    | Ir.Global (d, _) ->
+        Some d
+    | Ir.Store _ | Ir.Malloc _ | Ir.Free _ | Ir.Call _ | Ir.Ret _ | Ir.Br _
+    | Ir.Brc _ ->
+        None
+
+  let dce_func f =
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      let used = Array.make (Stdlib.max 1 f.Ir.n_regs) false in
+      (* Arguments are observable at entry but only matter if read;
+         reads are what we collect. *)
+      Array.iter
+        (fun blk ->
+          Array.iter
+            (fun i -> List.iter (fun r -> used.(r) <- true) (reads_of i))
+            blk.Ir.instrs)
+        f.Ir.blocks;
+      Array.iter
+        (fun blk ->
+          let keep =
+            Array.to_list blk.Ir.instrs
+            |> List.filter (fun i ->
+                   match pure_dst i with
+                   | Some d when not used.(d) ->
+                       changed := true;
+                       false
+                   | Some _ | None -> true)
+          in
+          blk.Ir.instrs <- Array.of_list keep)
+        f.Ir.blocks
+    done;
+    f
+
+  let dce p = map_funcs dce_func p
+
+  (* ------------------------------------------------------------------ *)
+  (* Local common subexpression elimination                              *)
+  (* ------------------------------------------------------------------ *)
+
+  type expr_key =
+    | Kbin of Ir.binop * Ir.operand * Ir.operand
+    | Kcmp of Ir.cmp * Ir.operand * Ir.operand
+    | Kframe of int
+    | Kglobal of int
+    | Kload of Ir.reg * int
+
+  let key_mentions r = function
+    | Kbin (_, a, b) | Kcmp (_, a, b) -> a = Ir.Reg r || b = Ir.Reg r
+    | Kload (base, _) -> base = r
+    | Kframe _ | Kglobal _ -> false
+
+  let cse_block blk =
+    let avail : (expr_key, Ir.reg) Hashtbl.t = Hashtbl.create 16 in
+    let invalidate_reg r =
+      let dead =
+        Hashtbl.fold
+          (fun k holder acc ->
+            if holder = r || key_mentions r k then k :: acc else acc)
+          avail []
+      in
+      List.iter (Hashtbl.remove avail) dead
+    in
+    let invalidate_loads () =
+      let dead =
+        Hashtbl.fold
+          (fun k _ acc -> match k with Kload _ -> k :: acc | _ -> acc)
+          avail []
+      in
+      List.iter (Hashtbl.remove avail) dead
+    in
+    let rewrite instr =
+      let try_reuse d key mk =
+        match Hashtbl.find_opt avail key with
+        | Some holder when holder <> d ->
+            invalidate_reg d;
+            Ir.Mov (d, Ir.Reg holder)
+        | Some _ | None ->
+            invalidate_reg d;
+            (* A key mentioning its own destination refers to the value d
+               held *before* this instruction; it must not be recorded. *)
+            if not (key_mentions d key) then Hashtbl.replace avail key d;
+            mk ()
+      in
+      match instr with
+      | Ir.Bin (op, d, a, b) ->
+          try_reuse d (Kbin (op, a, b)) (fun () -> Ir.Bin (op, d, a, b))
+      | Ir.Cmp (op, d, a, b) ->
+          try_reuse d (Kcmp (op, a, b)) (fun () -> Ir.Cmp (op, d, a, b))
+      | Ir.Frame (d, o) -> try_reuse d (Kframe o) (fun () -> Ir.Frame (d, o))
+      | Ir.Global (d, g) -> try_reuse d (Kglobal g) (fun () -> Ir.Global (d, g))
+      | Ir.Load (d, b, o) -> try_reuse d (Kload (b, o)) (fun () -> Ir.Load (d, b, o))
+      | Ir.Mov (d, a) ->
+          invalidate_reg d;
+          Ir.Mov (d, a)
+      | Ir.Store (b, o, v) ->
+          invalidate_loads ();
+          Ir.Store (b, o, v)
+      | Ir.Malloc (d, s) ->
+          invalidate_reg d;
+          invalidate_loads ();
+          Ir.Malloc (d, s)
+      | Ir.Free r ->
+          invalidate_loads ();
+          Ir.Free r
+      | Ir.Call { fn; args; dst } ->
+          invalidate_reg dst;
+          invalidate_loads ();
+          Ir.Call { fn; args; dst }
+      | Ir.Ret _ | Ir.Br _ | Ir.Brc _ -> instr
+    in
+    blk.Ir.instrs <- Array.map rewrite blk.Ir.instrs
+
+  let cse_local p =
+    map_funcs
+      (fun f ->
+        Array.iter cse_block f.Ir.blocks;
+        f)
+      p
+
+  (* ------------------------------------------------------------------ *)
+  (* Inlining                                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  let default_inline_threshold = 16
+
+  let inlinable p fid threshold =
+    let g = p.Ir.funcs.(fid) in
+    fid <> p.Ir.entry
+    && Array.length g.Ir.blocks = 1
+    && Ir.callees g = []
+    && Ir.func_instr_count g <= threshold
+
+  let inline_leaves ?(threshold = default_inline_threshold) p =
+    let p = Ir.copy_program p in
+    let funcs =
+      Array.map
+        (fun f ->
+          let extra_frame = ref 0 in
+          let next_reg = ref f.Ir.n_regs in
+          let expand instr =
+            match instr with
+            | Ir.Call { fn; args; dst } when inlinable p fn threshold ->
+                let g = p.Ir.funcs.(fn) in
+                let reg_base = !next_reg in
+                next_reg := !next_reg + g.Ir.n_regs;
+                extra_frame := Stdlib.max !extra_frame g.Ir.frame_size;
+                let map_reg r = reg_base + r in
+                let map_operand = function
+                  | Ir.Reg r -> Ir.Reg (map_reg r)
+                  | Ir.Imm _ as o -> o
+                in
+                let arg_moves =
+                  List.mapi (fun i a -> Ir.Mov (map_reg i, a)) args
+                in
+                let body =
+                  Array.to_list g.Ir.blocks.(0).Ir.instrs
+                  |> List.map (fun gi ->
+                         match gi with
+                         | Ir.Bin (op, d, a, b) ->
+                             Ir.Bin (op, map_reg d, map_operand a, map_operand b)
+                         | Ir.Cmp (op, d, a, b) ->
+                             Ir.Cmp (op, map_reg d, map_operand a, map_operand b)
+                         | Ir.Mov (d, a) -> Ir.Mov (map_reg d, map_operand a)
+                         | Ir.Load (d, b, o) -> Ir.Load (map_reg d, map_reg b, o)
+                         | Ir.Store (b, o, v) ->
+                             Ir.Store (map_reg b, o, map_operand v)
+                         | Ir.Frame (d, o) ->
+                             (* Callee frame slots live beyond the caller's
+                                own frame region. *)
+                             Ir.Frame (map_reg d, o + f.Ir.frame_size)
+                         | Ir.Global (d, g) -> Ir.Global (map_reg d, g)
+                         | Ir.Malloc (d, s) -> Ir.Malloc (map_reg d, map_operand s)
+                         | Ir.Free r -> Ir.Free (map_reg r)
+                         | Ir.Ret v -> Ir.Mov (dst, map_operand v)
+                         | Ir.Call _ | Ir.Br _ | Ir.Brc _ ->
+                             (* Excluded by [inlinable]. *)
+                             assert false)
+                in
+                arg_moves @ body
+            | other -> [ other ]
+          in
+          Array.iter
+            (fun blk ->
+              blk.Ir.instrs <-
+                Array.of_list (List.concat_map expand (Array.to_list blk.Ir.instrs)))
+            f.Ir.blocks;
+          f.Ir.n_regs <- !next_reg;
+          { f with Ir.frame_size = f.Ir.frame_size + !extra_frame })
+        p.Ir.funcs
+    in
+    p.Ir.funcs <- funcs;
+    p
+
+  (* ------------------------------------------------------------------ *)
+  (* Dead global / function elimination                                  *)
+  (* ------------------------------------------------------------------ *)
+
+  let strip_dead p =
+    let p = Ir.copy_program p in
+    let n = Array.length p.Ir.funcs in
+    let reachable = Array.make n false in
+    let rec visit fid =
+      if not reachable.(fid) then begin
+        reachable.(fid) <- true;
+        List.iter visit (Ir.callees p.Ir.funcs.(fid))
+      end
+    in
+    visit p.Ir.entry;
+    let fid_map = Array.make n (-1) in
+    let next = ref 0 in
+    for fid = 0 to n - 1 do
+      if reachable.(fid) then begin
+        fid_map.(fid) <- !next;
+        incr next
+      end
+    done;
+    let live_globals = Hashtbl.create 16 in
+    Array.iteri
+      (fun fid f ->
+        if reachable.(fid) then
+          List.iter (fun g -> Hashtbl.replace live_globals g ()) (Ir.referenced_globals f))
+      p.Ir.funcs;
+    let gn = Array.length p.Ir.globals in
+    let gid_map = Array.make gn (-1) in
+    let gnext = ref 0 in
+    for gid = 0 to gn - 1 do
+      if Hashtbl.mem live_globals gid then begin
+        gid_map.(gid) <- !gnext;
+        incr gnext
+      end
+    done;
+    let remap_instr = function
+      | Ir.Call { fn; args; dst } -> Ir.Call { fn = fid_map.(fn); args; dst }
+      | Ir.Global (d, g) -> Ir.Global (d, gid_map.(g))
+      | other -> other
+    in
+    let funcs =
+      Array.to_list p.Ir.funcs
+      |> List.filteri (fun fid _ -> reachable.(fid))
+      |> List.map (fun f ->
+             Array.iter
+               (fun blk -> blk.Ir.instrs <- Array.map remap_instr blk.Ir.instrs)
+               f.Ir.blocks;
+             { f with Ir.fid = fid_map.(f.Ir.fid) })
+      |> Array.of_list
+    in
+    let globals =
+      Array.to_list p.Ir.globals
+      |> List.filteri (fun gid _ -> Hashtbl.mem live_globals gid)
+      |> List.map (fun g -> { g with Ir.gid = gid_map.(g.Ir.gid) })
+      |> Array.of_list
+    in
+    { Ir.funcs; globals; entry = fid_map.(p.Ir.entry) }
+end
+
+let outcome f = match f () with q -> Ok q | exception e -> Error (Printexc.to_string e)
+
+(* Random valid programs over few registers, so that registers are
+   redefined within a block and expressions recur: what the generators
+   rarely produce. Single-block functions end in a return and are
+   inlinable when small and call-free; other blocks end in any
+   terminator. Only the optimizer sees them, so they need not run. *)
+let random_program rng =
+  let int n = Random.State.int rng n in
+  let n_funcs = 1 + int 5 and n_globals = int 3 in
+  let func fid =
+    let n_regs = 1 + int 6 and frame_size = 16 * (1 + int 4) in
+    let n_blocks = if int 2 = 0 then 1 else 1 + int 4 in
+    let reg () = int n_regs in
+    let operand () = if int 3 = 0 then Ir.Imm (int 5 - 1) else Ir.Reg (reg ()) in
+    let body () =
+      match int (if n_globals > 0 then 12 else 11) with
+      | 0 | 1 | 2 ->
+          let op = [| Ir.Add; Ir.Sub; Ir.Mul; Ir.Div; Ir.And; Ir.Or; Ir.Xor; Ir.Shl; Ir.Shr |] in
+          Ir.Bin (op.(int 9), reg (), operand (), operand ())
+      | 3 ->
+          let op = [| Ir.Eq; Ir.Ne; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge |] in
+          Ir.Cmp (op.(int 6), reg (), operand (), operand ())
+      | 4 -> Ir.Mov (reg (), operand ())
+      | 5 -> Ir.Load (reg (), reg (), 8 * int 3)
+      | 6 -> Ir.Store (reg (), 8 * int 3, operand ())
+      | 7 -> Ir.Frame (reg (), 8 * int (frame_size / 8))
+      | 8 -> Ir.Malloc (reg (), operand ())
+      | 9 -> if int 2 = 0 then Ir.Free (reg ()) else Ir.Mov (reg (), operand ())
+      | 10 -> Ir.Call { fn = int n_funcs; args = List.init (int 3) (fun _ -> operand ()); dst = reg () }
+      | _ -> Ir.Global (reg (), int n_globals)
+    in
+    let terminator () =
+      if n_blocks = 1 then Ir.Ret (operand ())
+      else
+        match int 3 with
+        | 0 -> Ir.Ret (operand ())
+        | 1 -> Ir.Br (int n_blocks)
+        | _ -> Ir.Brc (operand (), int n_blocks, int n_blocks)
+    in
+    let blocks =
+      Array.init n_blocks (fun _ ->
+          { Ir.instrs = Array.of_list (List.init (int 14) (fun _ -> body ()) @ [ terminator () ]) })
+    in
+    { Ir.fid; fname = Printf.sprintf "f%d" fid; blocks; n_args = int (n_regs + 1); n_regs; frame_size }
+  in
+  let p =
+    {
+      Ir.funcs = Array.init n_funcs func;
+      globals = Array.init n_globals (fun gid -> { Ir.gid; gname = Printf.sprintf "g%d" gid; gsize = 64 });
+      entry = int n_funcs;
+    }
+  in
+  V.check_exn p;
+  p
+
+(* The inputs: fuzz plans of three seeds, the 18 SPEC clones at scale
+   0.05, random programs and the hand-built CSE and inlining edge
+   programs. *)
+let reference_inputs () =
+  let fuzz =
+    List.concat_map
+      (fun fuzz_seed ->
+        List.init 24 (fun index ->
+            let plan = Stz_workloads.Fuzz.plan ~fuzz_seed ~index in
+            (Printf.sprintf "fuzz %Ld/%d" fuzz_seed index, Stz_workloads.Fuzz.build plan)))
+      [ 1L; 2L; 3L ]
+  in
+  let spec =
+    List.map
+      (fun (prof : Stz_workloads.Profile.t) ->
+        ( prof.Stz_workloads.Profile.name,
+          Stz_workloads.Generate.program (Stz_workloads.Profile.scale 0.05 prof) ))
+      Stz_workloads.Spec.all
+  in
+  let rng = Random.State.make [| 22 |] in
+  let random = List.init 300 (fun i -> (Printf.sprintf "random %d" i, random_program rng)) in
+  fuzz @ spec @ random
+  @ [
+      ("cse self-referential", cse_self_referential_program ());
+      ("cse store", cse_store_program ());
+      ("cse redefinition", cse_redefinition_program ());
+      ("cse holder redefinition", cse_holder_program ());
+      ("inline expanded callee", expanded_callee_program ());
+    ]
+
+let reference_passes =
+  [
+    ("const_fold", O.const_fold, Ref_opt.const_fold);
+    ("simplify", O.simplify, Ref_opt.simplify);
+    ("dce", O.dce, Ref_opt.dce);
+    ("cse_local", O.cse_local, Ref_opt.cse_local);
+    ("inline_leaves", (fun p -> O.inline_leaves p), fun p -> Ref_opt.inline_leaves p);
+    ("inline_leaves 10", O.inline_leaves ~threshold:10, Ref_opt.inline_leaves ~threshold:10);
+    ("inline_leaves 120", O.inline_leaves ~threshold:120, Ref_opt.inline_leaves ~threshold:120);
+    ("strip_dead", O.strip_dead, Ref_opt.strip_dead);
+  ]
+
+(* The reference pass's outcome, once the new pass gave the same. *)
+let same_pass ~where name p =
+  let _, fresh, reference = List.find (fun (n, _, _) -> n = name) reference_passes in
+  let before = Ir.copy_program p in
+  let q = outcome (fun () -> reference p) in
+  let q' = outcome (fun () -> fresh p) in
+  if q' <> q then
+    Alcotest.failf "%s: %s differs from the reference (%s, reference %s)" where name
+      (match q' with Ok _ -> "a program" | Error e -> e)
+      (match q with Ok _ -> "a program" | Error e -> e);
+  if p <> before then Alcotest.failf "%s: %s mutated its input" where name;
+  q
+
+(* The O0-O3 pipelines as they were, run on the reference passes with
+   every stage's input also fed to the new pass of the same name; then
+   [apply] must give the pipeline's validated output. *)
+let same_apply ~where level p =
+  let stages =
+    match level with
+    | O.O0 -> []
+    | O.O1 ->
+        [ "const_fold"; "simplify"; "inline_leaves 10"; "const_fold"; "simplify"; "dce" ]
+    | O.O2 ->
+        [
+          "const_fold"; "simplify"; "inline_leaves 10"; "cse_local"; "const_fold";
+          "simplify"; "dce";
+        ]
+    | O.O3 ->
+        [
+          "const_fold"; "simplify"; "inline_leaves 120"; "cse_local"; "const_fold";
+          "simplify"; "dce"; "strip_dead";
+        ]
+  in
+  let where = where ^ " " ^ O.level_to_string level in
+  let reference =
+    List.fold_left
+      (fun stage name -> Result.bind stage (same_pass ~where name))
+      (Ok p) stages
+  in
+  (* A stage may raise: an inlined call passing more arguments than its
+     callee has registers leaves registers past [n_regs] for [dce]. *)
+  let reference =
+    match reference with
+    | Ok q -> outcome (fun () -> V.check_exn q; q)
+    | Error _ as e -> e
+  in
+  let before = Ir.copy_program p in
+  if outcome (fun () -> O.apply level p) <> reference then
+    Alcotest.failf "%s: apply differs from the reference" where;
+  if p <> before then Alcotest.failf "%s: apply mutated its input" where
+
+(* Every pass on every input, then [apply] at O0-O3 with each pipeline
+   stage checked on the way, compared with [=] on the output program
+   (or the exception). *)
+let passes_match_reference () =
+  List.iter
+    (fun (where, p) ->
+      List.iter (fun (name, _, _) -> ignore (same_pass ~where name p)) reference_passes;
+      List.iter (fun level -> same_apply ~where level p) [ O.O0; O.O1; O.O2; O.O3 ])
+    (reference_inputs ())
+
+(* The planted shift clamp is part of [simplify]: armed, the new pass
+   still miscompiles exactly as the reference does. *)
+let planted_matches_reference () =
+  O.planted_bug := Some O.Shift_clamp;
+  Fun.protect
+    ~finally:(fun () -> O.planted_bug := None)
+    (fun () ->
+      List.iter
+        (fun index ->
+          let p = Stz_workloads.Fuzz.build (Stz_workloads.Fuzz.plan ~fuzz_seed:7L ~index) in
+          if O.simplify p <> Ref_opt.simplify p then
+            Alcotest.failf "fuzz 7/%d: planted simplify differs" index;
+          same_apply ~where:(Printf.sprintf "planted fuzz 7/%d" index) O.O3 p)
+        (List.init 8 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Pipelines on generated workloads                                    *)
@@ -585,6 +1168,7 @@ let () =
         [
           Alcotest.test_case "removes duplicate" `Quick cse_removes_duplicate;
           Alcotest.test_case "redefinition safe" `Quick cse_respects_redefinition;
+          Alcotest.test_case "holder redefinition safe" `Quick cse_respects_holder_redefinition;
           Alcotest.test_case "self-referential" `Quick cse_self_referential_key;
           Alcotest.test_case "store invalidates load" `Quick cse_load_invalidated_by_store;
           Alcotest.test_case "reuses repeated load" `Quick cse_reuses_repeated_load;
@@ -595,18 +1179,17 @@ let () =
           Alcotest.test_case "grows frame" `Quick inline_grows_frame;
           Alcotest.test_case "threshold" `Quick inline_respects_threshold;
           Alcotest.test_case "skips multi-block" `Quick inline_skips_multiblock;
-        ] );
-      ( "copy_propagate",
-        [
-          Alcotest.test_case "rewrites uses" `Quick copy_prop_rewrites_uses;
-          Alcotest.test_case "redefinition safe" `Quick copy_prop_respects_redefinition;
-          Alcotest.test_case "chains" `Quick copy_prop_chains;
-          QCheck_alcotest.to_alcotest copy_prop_preserves_semantics;
+          Alcotest.test_case "expanded callee" `Quick inline_expanded_callee;
         ] );
       ( "strip_dead",
         [
           Alcotest.test_case "removes" `Quick strip_dead_removes;
           Alcotest.test_case "renumbers" `Quick strip_dead_renumbers;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "passes match reference" `Quick passes_match_reference;
+          Alcotest.test_case "planted bug matches reference" `Quick planted_matches_reference;
         ] );
       ( "pipelines",
         [

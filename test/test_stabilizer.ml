@@ -141,6 +141,93 @@ let runtime_env_bytes_changes_timing () =
      cache behaviour. (It must at least not crash; timing usually moves.) *)
   check_int "same result" a.S.Runtime.return_value b.S.Runtime.return_value
 
+(* Runs without a [machine_factory] share the process's spare machine,
+   reset before each run. A sequence of them, traps included, must give
+   what the same runs give each on a fresh machine: the return value or
+   the trap, cycles, every counter, relocations, epochs, heap stats and
+   events, and a trap's partial counters. *)
+let runtime_reused_machine_is_fresh () =
+  let p = Lazy.force tiny_program in
+  let outcome ?machine_factory ?limits ?env_wrap config seed =
+    match
+      S.Runtime.run ?machine_factory ?limits ?env_wrap ~events:true ~config ~seed p
+        ~args:[ 1 ]
+    with
+    | r -> Ok r
+    | exception S.Runtime.Trap { trap; partial; events } ->
+        Error (Printexc.to_string trap, partial, events)
+  in
+  let mallocs = ref 0 in
+  let full =
+    S.Runtime.run ~config:S.Config.stabilizer ~seed:4L p ~args:[ 1 ]
+      ~env_wrap:(fun env ->
+        {
+          env with
+          Stz_vm.Interp.malloc =
+            (fun ~size ->
+              incr mallocs;
+              env.Stz_vm.Interp.malloc ~size);
+        })
+  in
+  let mallocs = !mallocs in
+  check_bool "the program allocates" true (mallocs >= 2);
+  (* [malloc] raises halfway through the run's allocations. *)
+  let failing_malloc () env =
+    let left = ref (mallocs / 2) in
+    {
+      env with
+      Stz_vm.Interp.malloc =
+        (fun ~size ->
+          if !left = 0 then failwith "injected malloc failure";
+          decr left;
+          env.Stz_vm.Interp.malloc ~size);
+    }
+  in
+  (* The first function entry runs a whole other program, which finds
+     the spare machine taken. *)
+  let nested () env =
+    let first = ref true in
+    {
+      env with
+      Stz_vm.Interp.enter_function =
+        (fun ~fid ->
+          if !first then begin
+            first := false;
+            ignore (run S.Config.baseline 9L)
+          end;
+          env.Stz_vm.Interp.enter_function ~fid);
+    }
+  in
+  let tight =
+    Stz_vm.Interp.limits ~max_instructions:(full.S.Runtime.counters.instructions / 2) ()
+  in
+  List.iter
+    (fun (name, limits, wrapper, config, seed, traps) ->
+      let shared = outcome ?limits ?env_wrap:(Option.map (fun f -> f ()) wrapper) config seed in
+      let fresh =
+        outcome
+          ~machine_factory:(fun () -> Stz_machine.Hierarchy.create ())
+          ?limits ?env_wrap:(Option.map (fun f -> f ()) wrapper) config seed
+      in
+      (match shared with
+      | Ok r ->
+          check_bool (name ^ ": completes") false traps;
+          check_bool (name ^ ": events recorded") true (r.S.Runtime.events <> [])
+      | Error (_, partial, _) ->
+          check_bool (name ^ ": traps") true traps;
+          check_bool (name ^ ": traps mid-run") true (partial.S.Runtime.p_cycles > 0));
+      if shared <> fresh then
+        Alcotest.failf "%s: the reused machine gave another outcome than a fresh one" name)
+    [
+      ("baseline", None, None, S.Config.baseline, 1L, false);
+      ("one_time", None, None, S.Config.one_time, 2L, false);
+      ("stabilizer", None, None, S.Config.stabilizer, 3L, false);
+      ("fuel trap", Some tight, None, S.Config.stabilizer, 4L, true);
+      ("malloc trap", None, Some failing_malloc, S.Config.stabilizer, 4L, true);
+      ("nested", None, Some nested, S.Config.one_time, 5L, false);
+      ("after the traps", None, None, S.Config.stabilizer, 4L, false);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Sample                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -495,6 +582,7 @@ let () =
           Alcotest.test_case "heap stats" `Quick runtime_heap_stats;
           Alcotest.test_case "virtual seconds" `Quick runtime_virtual_seconds;
           Alcotest.test_case "env bytes" `Quick runtime_env_bytes_changes_timing;
+          Alcotest.test_case "reused machine is fresh" `Quick runtime_reused_machine_is_fresh;
         ] );
       ( "sample",
         [
