@@ -573,11 +573,13 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   | None -> ());
   let budget_cycles = ref (Option.bind loaded (fun c -> c.budget_cycles)) in
   let budget_fuel = ref (Option.bind loaded (fun c -> c.budget_fuel)) in
-  (* Watchdog grace calibration: the longest wall-clock attempt seen in
-     this process (reference probe, single-run calibration dispatches)
-     scaled by [hang_margin]. Per-run fuel is budget-capped, so no
-     honest attempt can exceed the calibration maximum by anything like
-     the margin; only a genuinely wedged worker goes silent that long. *)
+  (* Watchdog grace calibration: the longest wall-clock attempt seen so
+     far (the reference probe here, every delivered run's attempts where
+     they executed) scaled by [hang_margin]. Heartbeats are per attempt,
+     so the attempt is what the grace must outlast. Per-run fuel is
+     budget-capped, so no honest attempt can exceed the calibration
+     maximum by anything like the margin; only a genuinely wedged worker
+     goes silent that long. *)
   let max_wall = ref 0.0 in
   let observe_wall dt = if dt > !max_wall then max_wall := dt in
   let timed f =
@@ -712,13 +714,22 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   (* One supervised run: the bounded retry loop. Quarantine lookups see
      the global table as of the call (in a worker: as of the fork) plus
      this run's own failed attempts; the failed seeds come back with
-     the record so the parent can merge them in run order. Cross-run
-     quarantine hits require two splitmix streams to collide (~2^-64),
-     which is what makes the parallel merge bit-identical to a serial
-     campaign. *)
+     the record so the parent can merge them in run order, and the
+     longest attempt's wall time comes back for the watchdog grace.
+     Cross-run quarantine hits require two splitmix streams to collide
+     (~2^-64), which is what makes the parallel merge bit-identical to a
+     serial campaign. *)
   let attempt_run i =
     let failed_seeds = ref [] in
     let streams = ref [] in
+    let longest = ref 0.0 in
+    let timed_execute seed =
+      let t0 = Unix.gettimeofday () in
+      let outcome = execute seed in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > !longest then longest := dt;
+      outcome
+    in
     let note k seed outcome =
       if tracing then
         streams :=
@@ -740,7 +751,7 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
         if Hashtbl.mem quarantine seed || List.mem seed !failed_seeds then
           (* Known-bad seed: counts as a failed attempt, not re-run. *)
           Outcome.Trapped (Fault.Unknown_trap, None)
-        else execute seed
+        else timed_execute seed
       in
       note k seed outcome;
       match outcome with
@@ -752,7 +763,7 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
           else { run = i; seed; retries = k; outcome = store_outcome failed }
     in
     let r = attempt 0 in
-    (r, List.rev !failed_seeds, Spans.sequence (List.rev !streams))
+    ((r, List.rev !failed_seeds, Spans.sequence (List.rev !streams)), !longest)
   in
   (* All bookkeeping stays in the parent and happens in run order, so
      quarantine, calibration, on_record and checkpoints are identical
@@ -795,18 +806,23 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
           outcome
       else [] )
   in
-  (* One execution loop. Budget calibration is order-dependent —
-     budgets freeze after the first [calibration_runs] completed runs
-     and tighten the limits of every later run — so runs are dispatched
-     one at a time until the budgets are frozen, then the rest at once.
-     [Parallel] reports results in task order, so [deliver] sees run
-     order for any worker count: a mid-flight checkpoint always holds a
-     prefix of completed runs, exactly what a serial campaign
-     interrupted at the same point would have written. With [jobs <= 1]
-     everything runs in-process; otherwise every run, the single-run
-     calibration dispatches included, crosses a fork boundary under the
-     watchdog, so a wedge during calibration is as survivable as one in
-     the fan-out. *)
+  (* One execution loop, in waves. Budget calibration is
+     order-dependent — budgets freeze after the first [calibration_runs]
+     completed runs and tighten the limits of every later run — but a
+     run executes unbudgeted exactly when fewer than [calibration_runs]
+     runs before it completed. So while the budgets are unfrozen the
+     next [calibration_runs - completed] pending runs go out together:
+     however the wave turns out, each of them is a run the serial loop
+     would also have executed unbudgeted. Once the budgets freeze the
+     rest go out at once. [Parallel] reports results in task order, so
+     [deliver] sees run order for any worker count: a mid-flight
+     checkpoint always holds a prefix of completed runs, exactly what a
+     serial campaign interrupted at the same point would have written.
+     With [jobs <= 1] everything runs in-process, where a wave is the
+     serial loop; otherwise every wave crosses a fork boundary under the
+     watchdog, whose grace is recomputed at each wave from the attempts
+     delivered so far, so a wedge during calibration is as survivable as
+     one in the fan-out. *)
   let dispatch, watchdog =
     if jobs <= 1 then (Parallel.pool_dispatcher, fun () -> None)
     else (dispatch, fun () -> Some (hang_grace ()))
@@ -818,24 +834,23 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
         let i = tasks.(pos) in
         deliver i
           (match res with
-          | Parallel.Value payload -> payload
+          | Parallel.Value (payload, wall) ->
+              (* A hung or lost run measured nothing: only delivered
+                 attempts calibrate the grace. *)
+              observe_wall wall;
+              payload
           | Parallel.Lost -> censored_payload i Worker_lost Outcome.Worker_lost
           | Parallel.Hung -> censored_payload i Worker_hung Outcome.Worker_hung))
       ~f:(fun pos -> attempt_run tasks.(pos))
       (Array.length tasks)
   in
   let rec loop = function
-    | i :: rest when !budget_cycles = None ->
-        let t0 = Unix.gettimeofday () in
-        dispatch_runs [ i ];
-        (* A hung run lasted as long as the grace, which says nothing
-           about how long an honest run takes. *)
-        (match records.(i) with
-        | Some { outcome = Worker_hung; _ } -> ()
-        | _ -> observe_wall (Unix.gettimeofday () -. t0));
-        loop rest
     | [] -> ()
-    | rest -> dispatch_runs rest
+    | rest when !budget_cycles <> None -> dispatch_runs rest
+    | pending ->
+        let wave = Stdlib.max 1 (policy.calibration_runs - !calib_n) in
+        dispatch_runs (List.filteri (fun k _ -> k < wave) pending);
+        loop (List.filteri (fun k _ -> k >= wave) pending)
   in
   loop (List.filter (fun i -> records.(i) = None) (List.init runs Fun.id));
   let c = campaign_so_far () in

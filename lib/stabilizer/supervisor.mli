@@ -23,9 +23,10 @@ type policy = {
           are then 8 × the calibration maximum (cycles / fuel) *)
   hang_grace : float option;
       (** fixed watchdog grace in seconds; [None] (the default)
-          calibrates it as 25 × the longest wall-clock attempt seen
-          during calibration (reference probe + single-run dispatches),
-          at least 1 s *)
+          calibrates it before each dispatch as 25 × the longest
+          wall-clock attempt seen so far (the reference probe, and each
+          delivered run's attempts timed where they executed), at least
+          1 s *)
 }
 
 val default_policy : policy
@@ -117,15 +118,18 @@ exception Mismatch of string
     progress display — and for tests that kill a campaign mid-flight).
 
     [jobs] (default 1) sets the {!Parallel} worker count. One loop
-    executes the campaign: it dispatches one run at a time until the
-    cycle/fuel budgets freeze (they change the limits of later runs),
-    then dispatches the remainder at once. {!Parallel} reports results
-    in task order, and each is quarantined, reported through
-    [on_record] and checkpointed as it arrives, so samples, checkpoints
-    and outcome CSVs are bit-identical to a serial campaign's for any
-    worker count. With [jobs <= 1] every run executes in-process. With
-    [jobs > 1] every dispatch, the single-run ones included, goes
-    through [dispatch] under the watchdog, so a wedge during
+    executes the campaign in waves: until the cycle/fuel budgets freeze
+    (they change the limits of later runs), it dispatches the next
+    [calibration_runs - completed] pending runs together, all without a
+    budget, then dispatches the remainder at once. A run executes
+    without a budget exactly when fewer than [calibration_runs] runs
+    before it completed, so a wave holds only runs a one-at-a-time loop
+    would also have run unbudgeted. {!Parallel} reports results in task
+    order, and each is quarantined, reported through [on_record] and
+    checkpointed as it arrives, so samples, checkpoints and outcome CSVs
+    are bit-identical to a serial campaign's for any worker count. With
+    [jobs <= 1] every run executes in-process. With [jobs > 1] every
+    wave goes through [dispatch] under the watchdog, so a wedge during
     calibration is as survivable as one in the fan-out. A worker that
     dies censors exactly the run it was executing as {!Worker_lost};
     the rest of its task stripe is re-spawned. A worker that goes

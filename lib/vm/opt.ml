@@ -240,10 +240,10 @@ let dce_func f =
          Array.blit b.Ir.instrs 0 flat pos len;
          pos + len)
        0 blocks);
-  (* Sized by [n_regs], not [regs_named]: a register past [n_regs] (left
-     by an inlined call passing more arguments than its callee has
-     registers) raises [Invalid_argument] here rather than being removed
-     as dead, so [apply] rejects such a program. *)
+  (* Sized by [n_regs], not [regs_named]: a valid function names no
+     register past it, and neither does the inliner's output, since it
+     inlines only calls passing exactly the callee's [n_args] arguments,
+     and only callees with [n_args <= n_regs]. *)
   let n = imax 1 f.Ir.n_regs in
   let reads = Array.make n 0 in
   (* [defs.(r)]: the first pure instruction defining [r], chained
@@ -481,11 +481,29 @@ let inline_instr ~reg_base ~frame ~ret instr =
          here. *)
       assert false
 
+(* Whether a body reads a register at or past [n_args] before writing
+   it. A call starts its callee's other registers at zero, but an
+   inlined copy would read whatever the caller's registers hold, such
+   as the previous iteration's value or an extra argument. *)
+let reads_non_arg_first ~n_args ~n_regs body =
+  let written = Bytes.make (imax 1 n_regs) '\000' in
+  let bad = ref false in
+  let read r = if r >= n_args && Bytes.get written r = '\000' then bad := true in
+  Array.iter
+    (fun instr ->
+      iter_reads read instr;
+      let d = match instr with Ir.Malloc (d, _) -> d | i -> pure_dst i in
+      if d >= 0 then Bytes.set written d '\001')
+    body;
+  !bad
+
 (* Functions are expanded in fid order, each in place, so a callee
    expanded earlier is inlined with its expanded body and register
    count (but its original frame size), and one expanded later with its
    original body. Whether a callee is inlinable is decided once for
-   each of those two bodies. *)
+   each of those two bodies; a call is inlined only when it also passes
+   exactly the callee's [n_args] arguments (a real call drops extra
+   ones and zeroes missing ones). *)
 let inline_owned ~threshold p =
   let funcs = p.Ir.funcs in
   let n = Array.length funcs in
@@ -499,9 +517,12 @@ let inline_owned ~threshold p =
     let body = h.Ir.blocks.(0).Ir.instrs in
     Array.length body <= threshold
     && not (Array.exists (function Ir.Call _ -> true | _ -> false) body)
+    && h.Ir.n_args <= h.Ir.n_regs
+    && not (reads_non_arg_first ~n_args:h.Ir.n_args ~n_regs:h.Ir.n_regs body)
   in
-  let inlinable caller g =
+  let inlinable caller g args =
     g <> caller
+    && List.compare_length_with args funcs.(g).Ir.n_args = 0
     &&
     match verdict.(g) with
     | 1 -> true
@@ -522,7 +543,7 @@ let inline_owned ~threshold p =
         let len = ref 0 and expands = ref false in
         Array.iter
           (function
-            | Ir.Call { fn; args; _ } when inlinable j fn ->
+            | Ir.Call { fn; args; _ } when inlinable j fn args ->
                 expands := true;
                 len :=
                   !len + List.length args
@@ -539,7 +560,7 @@ let inline_owned ~threshold p =
           Array.iter
             (fun instr ->
               match instr with
-              | Ir.Call { fn; args; dst = ret } when inlinable j fn ->
+              | Ir.Call { fn; args; dst = ret } when inlinable j fn args ->
                   let g = funcs.(fn) in
                   let reg_base = !next_reg in
                   next_reg := reg_base + g.Ir.n_regs;

@@ -439,6 +439,102 @@ let inline_skips_multiblock () =
   | Ir.Call _ -> ()
   | _ -> Alcotest.fail "multi-block callee was inlined")
 
+(* Three call shapes [Validate] accepts but a real call treats
+   differently from a copy of the callee's body: the inliner must leave
+   them calls, so O1-O3 return what O0 returns. *)
+let leaf_program ~n_args ~n_regs body ~main =
+  let leaf =
+    {
+      Ir.fid = 1;
+      fname = "leaf";
+      blocks = [| { Ir.instrs = Array.of_list body } |];
+      n_args;
+      n_regs;
+      frame_size = 64;
+    }
+  in
+  B.program ~funcs:[ main; leaf ] ~globals:[] ~entry:0
+
+(* main calls the leaf in a loop of two iterations, summing its
+   results. *)
+let looping_main ~args =
+  let b = B.func ~fid:0 ~name:"main" ~n_args:0 () in
+  let i = B.fresh_reg b and acc = B.fresh_reg b and r = B.fresh_reg b in
+  let c = B.fresh_reg b in
+  let loop = B.new_block b and exit = B.new_block b in
+  B.emit b (Ir.Br loop);
+  B.set_block b loop;
+  B.emit b (Ir.Call { fn = 1; args; dst = r });
+  B.emit b (Ir.Bin (Ir.Add, acc, Ir.Reg acc, Ir.Reg r));
+  B.emit b (Ir.Bin (Ir.Add, i, Ir.Reg i, Ir.Imm 1));
+  B.emit b (Ir.Cmp (Ir.Lt, c, Ir.Reg i, Ir.Imm 2));
+  B.emit b (Ir.Brc (Ir.Reg c, loop, exit));
+  B.set_block b exit;
+  B.emit b (Ir.Ret (Ir.Reg acc));
+  B.finish b
+
+let calling_main ~args =
+  let b = B.func ~fid:0 ~name:"main" ~n_args:0 () in
+  let r = B.fresh_reg b in
+  B.emit b (Ir.Call { fn = 1; args; dst = r });
+  B.emit b (Ir.Ret (Ir.Reg r));
+  B.finish b
+
+let same_as_o0 name p expected =
+  V.check_exn p;
+  let v0, _, _ = run_plain (O.apply O.O0 p) [] in
+  check_int (name ^ ": O0") expected v0;
+  List.iter
+    (fun level ->
+      let v, _, _ = run_plain (O.apply level p) [] in
+      check_int (name ^ ": " ^ O.level_to_string level) v0 v)
+    [ O.O1; O.O2; O.O3 ]
+
+let inline_keeps_fresh_registers () =
+  (* r1 accumulates into a register the call starts at zero: 5 per
+     call, where an inlined copy would carry r1 over to the next
+     iteration. *)
+  same_as_o0 "read before write in a loop"
+    (leaf_program ~n_args:1 ~n_regs:2
+       [ Ir.Bin (Ir.Add, 1, Ir.Reg 1, Ir.Reg 0); Ir.Ret (Ir.Reg 1) ]
+       ~main:(looping_main ~args:[ Ir.Imm 5 ]))
+    10
+
+let inline_drops_extra_arguments () =
+  (* The second argument lands in r1 of an inlined copy; a call drops
+     it and r1 reads zero. *)
+  same_as_o0 "extra argument within n_regs"
+    (leaf_program ~n_args:1 ~n_regs:2
+       [ Ir.Bin (Ir.Add, 1, Ir.Reg 0, Ir.Reg 1); Ir.Ret (Ir.Reg 1) ]
+       ~main:(calling_main ~args:[ Ir.Imm 5; Ir.Imm 7 ]))
+    5
+
+let inline_rejects_arguments_past_n_regs () =
+  (* Inlined, the extra arguments would move into registers past the
+     caller's n_regs. *)
+  same_as_o0 "extra arguments past n_regs"
+    (leaf_program ~n_args:1 ~n_regs:1 [ Ir.Ret (Ir.Reg 0) ]
+       ~main:(calling_main ~args:[ Ir.Imm 5; Ir.Imm 7; Ir.Imm 9 ]))
+    5;
+  (* The same with a callee that declares more arguments than it has
+     registers: the call traps when it runs, and the optimizer must
+     keep it a call rather than raise. *)
+  let p =
+    leaf_program ~n_args:3 ~n_regs:1 [ Ir.Ret (Ir.Reg 0) ]
+      ~main:(calling_main ~args:[ Ir.Imm 5; Ir.Imm 7; Ir.Imm 9 ])
+  in
+  V.check_exn p;
+  List.iter
+    (fun level ->
+      let q = O.apply level p in
+      check_bool
+        ("n_args past n_regs: call kept at " ^ O.level_to_string level)
+        true
+        (Array.exists
+           (function Ir.Call _ -> true | _ -> false)
+           q.Ir.funcs.(0).Ir.blocks.(0).Ir.instrs))
+    [ O.O1; O.O2; O.O3 ]
+
 (* ------------------------------------------------------------------ *)
 (* strip_dead                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -777,12 +873,33 @@ module Ref_opt = struct
 
   let default_inline_threshold = 16
 
+  (* A call gives its callee fresh zeroed registers past its arguments;
+     an inlined body must not read one of them before writing it. *)
+  let writes_before_reading g =
+    let rec go written = function
+      | [] -> true
+      | instr :: rest ->
+          List.for_all
+            (fun r -> r < g.Ir.n_args || List.mem r written)
+            (reads_of instr)
+          &&
+          let written =
+            match instr with
+            | Ir.Malloc (d, _) -> d :: written
+            | _ -> Option.to_list (pure_dst instr) @ written
+          in
+          go written rest
+    in
+    go [] (Array.to_list g.Ir.blocks.(0).Ir.instrs)
+
   let inlinable p fid threshold =
     let g = p.Ir.funcs.(fid) in
     fid <> p.Ir.entry
     && Array.length g.Ir.blocks = 1
     && Ir.callees g = []
     && Ir.func_instr_count g <= threshold
+    && g.Ir.n_args <= g.Ir.n_regs
+    && writes_before_reading g
 
   let inline_leaves ?(threshold = default_inline_threshold) p =
     let p = Ir.copy_program p in
@@ -793,7 +910,9 @@ module Ref_opt = struct
           let next_reg = ref f.Ir.n_regs in
           let expand instr =
             match instr with
-            | Ir.Call { fn; args; dst } when inlinable p fn threshold ->
+            | Ir.Call { fn; args; dst }
+              when List.length args = p.Ir.funcs.(fn).Ir.n_args
+                   && inlinable p fn threshold ->
                 let g = p.Ir.funcs.(fn) in
                 let reg_base = !next_reg in
                 next_reg := !next_reg + g.Ir.n_regs;
@@ -1044,8 +1163,8 @@ let same_apply ~where level p =
       (fun stage name -> Result.bind stage (same_pass ~where name))
       (Ok p) stages
   in
-  (* A stage may raise: an inlined call passing more arguments than its
-     callee has registers leaves registers past [n_regs] for [dce]. *)
+  (* The output must validate: a pass may not leave a register past
+     [n_regs] or a frame slot past [frame_size]. *)
   let reference =
     match reference with
     | Ok q -> outcome (fun () -> V.check_exn q; q)
@@ -1180,6 +1299,12 @@ let () =
           Alcotest.test_case "threshold" `Quick inline_respects_threshold;
           Alcotest.test_case "skips multi-block" `Quick inline_skips_multiblock;
           Alcotest.test_case "expanded callee" `Quick inline_expanded_callee;
+          Alcotest.test_case "fresh callee registers" `Quick
+            inline_keeps_fresh_registers;
+          Alcotest.test_case "extra arguments dropped" `Quick
+            inline_drops_extra_arguments;
+          Alcotest.test_case "arguments past n_regs" `Quick
+            inline_rejects_arguments_past_n_regs;
         ] );
       ( "strip_dead",
         [

@@ -292,6 +292,50 @@ let heavy_faults_jobs_identical () =
     (c1.S.Supervisor.quarantined = c3.S.Supervisor.quarantined);
   check_string "CSV" (S.Report.csv_of_campaign c1) (S.Report.csv_of_campaign c3)
 
+(* A dispatcher that records each call's task count and reports runs 1
+   and 3 as lost, whatever their workers computed. Pending runs reach
+   it in run order, so a running offset maps a call's positions to
+   runs. *)
+let losing_dispatcher calls =
+  let offset = ref 0 in
+  {
+    S.Parallel.dispatch =
+      (fun ?on_result ?on_pool_event ?watchdog ~jobs ~f n ->
+        let base = !offset in
+        calls := n :: !calls;
+        offset := base + n;
+        let lose g pos r =
+          g pos (if base + pos = 1 || base + pos = 3 then S.Parallel.Lost else r)
+        in
+        S.Parallel.pool_dispatcher.S.Parallel.dispatch
+          ?on_result:(Option.map lose on_result)
+          ?on_pool_event ?watchdog ~jobs ~f n);
+  }
+
+let waves_match_serial_loop () =
+  (* Runs 1 and 3 are lost, so the first wave of five completes three
+     runs, a second wave of two freezes the budgets and the other nine
+     go out together. The one-run-at-a-time loop made the calls
+     [1; 1; 1; 1; 1; 1; 1; 9]. The digests were taken from that loop
+     (commit e01e3cc) with this dispatcher at --jobs 2 and 4. *)
+  List.iter
+    (fun jobs ->
+      with_temp (fun path ->
+          let calls = ref [] in
+          let c =
+            S.Supervisor.run_campaign ~policy ~profile:F.none ~jobs
+              ~checkpoint:path ~dispatch:(losing_dispatcher calls) ~config
+              ~base_seed:5L ~runs:16 ~args (Lazy.force program)
+          in
+          let where = Printf.sprintf "jobs %d: " jobs in
+          Alcotest.(check (list int))
+            (where ^ "dispatch sizes") [ 5; 2; 9 ] (List.rev !calls);
+          check_string (where ^ "CSV") "4c32dff452a359b6587b44913b428cc2"
+            (Digest.to_hex (Digest.string (S.Report.csv_of_campaign c)));
+          check_string (where ^ "checkpoint") "f55e7a31a7229c64daa3234f86ff9583"
+            (Digest.to_hex (Digest.file path))))
+    [ 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Wedged runs: the watchdog inside a campaign                         *)
 (* ------------------------------------------------------------------ *)
@@ -366,6 +410,36 @@ let wedged_checkpoint_derived_state_identity () =
                 (got.S.Supervisor.quarantined = c.S.Supervisor.quarantined);
               check_bool "records identical" true
                 (got.S.Supervisor.records = c.S.Supervisor.records)))
+
+let calibrated_watchdog_across_a_wave () =
+  (* Run 3 of seed 3 wedges inside the first wave, under the grace the
+     campaign calibrates itself (at least 1 s): each campaign must
+     finish in about that second, censor exactly the wedged run, and
+     leave the same CSV at 2 and 3 workers. *)
+  let wedge_policy = { fast_hang_policy with S.Supervisor.hang_grace = None } in
+  let run jobs =
+    let t0 = Unix.gettimeofday () in
+    let c =
+      S.Supervisor.run_campaign ~policy:wedge_policy
+        ~profile:{ F.none with F.wedge = 0.1 }
+        ~jobs ~config ~base_seed:3L ~runs:10 ~args (Lazy.force program)
+    in
+    let s = S.Supervisor.summarize c in
+    let where = Printf.sprintf "jobs %d: " jobs in
+    check_bool (where ^ "well inside the 60 s uncalibrated grace") true
+      (Unix.gettimeofday () -. t0 < 30.0);
+    check_bool (where ^ "run 3 censored as worker-hung") true
+      (List.exists
+         (fun r ->
+           r.S.Supervisor.run = 3
+           && r.S.Supervisor.outcome = S.Supervisor.Worker_hung)
+         c.S.Supervisor.records);
+    check_int (where ^ "one hung run") 1 s.S.Supervisor.worker_hung;
+    check_int (where ^ "completed + censored = runs") 10
+      (s.S.Supervisor.completed + s.S.Supervisor.censored);
+    S.Report.csv_of_campaign c
+  in
+  check_string "CSV identical at 2 and 3 workers" (run 2) (run 3)
 
 let serial_wedge_is_rejected () =
   (* A wedge without a worker pool would hang the harness itself; the
@@ -520,12 +594,16 @@ let () =
             kill_and_resume_under_jobs4_is_byte_identical;
           Alcotest.test_case "heavy faults identical under jobs" `Quick
             heavy_faults_jobs_identical;
+          Alcotest.test_case "calibration waves match the serial loop" `Quick
+            waves_match_serial_loop;
           Alcotest.test_case "wedged runs censored, campaign completes" `Quick
             wedged_campaign_is_censored_not_stalled;
           Alcotest.test_case "wedgy campaign identical under jobs" `Quick
             wedged_campaign_jobs_identical;
           Alcotest.test_case "wedgy checkpoint derived-state identity" `Quick
             wedged_checkpoint_derived_state_identity;
+          Alcotest.test_case "calibrated watchdog across a wave" `Quick
+            calibrated_watchdog_across_a_wave;
           Alcotest.test_case "serial wedge rejected up front" `Quick
             serial_wedge_is_rejected;
         ] );
